@@ -103,7 +103,7 @@ fmtEventsPerSec(double eps)
 /** One stdout line summarizing a configuration's host cost. */
 inline void
 printHostCost(const std::string &label, double wall_seconds,
-              uint64_t events, unsigned shards)
+              uint64_t events)
 {
     std::cout << label << ": wall " << fmtWall(wall_seconds) << ", "
               << events << " events ("
@@ -111,7 +111,7 @@ printHostCost(const std::string &label, double wall_seconds,
                      wall_seconds > 0.0
                          ? double(events) / wall_seconds
                          : 0.0)
-              << "), shards=" << shards << "\n";
+              << ")\n";
 }
 
 } // namespace bench

@@ -245,11 +245,6 @@ reflectFields(SystemConfig &c, V &v)
     v.field("branch_profile", c.branchProfile);
     v.field("trace_dir", c.traceDir);
     v.field("pv_bytes_per_core", c.pvBytesPerCore);
-    v.field("timing_shards", c.timingShards);
-    v.field("sync_quantum", c.syncQuantum);
-    v.field("l2_bank_domains", c.l2BankDomains);
-    v.field("dram_lanes", c.dramLanes);
-    v.field("drain_overlap", c.drainOverlap);
 }
 
 // ---- Sweep option bundles (harness/metrics.hh) ------------------------
@@ -269,11 +264,6 @@ reflectFields(Fig9Options &c, V &v)
     v.field("edge_stabilities", c.edgeStabilities);
     v.field("pv_prefetch", c.pvPrefetch);
     v.field("victim_entries", c.victimEntries);
-    v.field("timing_shards", c.timingShards);
-    v.field("sync_quantum", c.syncQuantum);
-    v.field("l2_bank_domains", c.l2BankDomains);
-    v.field("dram_lanes", c.dramLanes);
-    v.field("drain_overlap", c.drainOverlap);
 }
 
 template <class V>
@@ -333,11 +323,6 @@ reflectFields(QosOptions &c, V &v)
     v.field("measure_records", c.measureRecords);
     v.field("batches", c.batches);
     v.field("settings", c.settings);
-    v.field("timing_shards", c.timingShards);
-    v.field("sync_quantum", c.syncQuantum);
-    v.field("l2_bank_domains", c.l2BankDomains);
-    v.field("dram_lanes", c.dramLanes);
-    v.field("drain_overlap", c.drainOverlap);
 }
 
 } // namespace pvsim

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/virt_engine.hh"
 #include "harness/config_presets.hh"
 #include "harness/row_json.hh"
 
@@ -72,6 +73,17 @@ validateScenario(const Scenario &s)
     if ((s.kind == "timed" || s.kind == "functional") &&
         s.system.numCores < 1)
         throw ConfigError(s.name + ": system.num_cores must be >= 1");
+    for (size_t i = 0; i < s.system.virtEngines.size(); ++i) {
+        const PvSetGeometry g =
+            engineGeometry(s.system.virtEngines[i]);
+        if (!g.fitsLine())
+            throw ConfigError(
+                s.name + ": system.virt_engines[" + std::to_string(i) +
+                "]: set of " + std::to_string(g.ways) + " x " +
+                std::to_string(g.entryBits()) +
+                "-bit entries does not fit a " +
+                std::to_string(kBlockBytes) + "-byte line");
+    }
     if (s.kind == "fig9") {
         if (s.fig9.batches == 0)
             throw ConfigError(s.name +

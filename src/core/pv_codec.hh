@@ -64,6 +64,17 @@ struct PvSet {
     }
 };
 
+/** Packing geometry of one set: `ways` entries of tag + payload. */
+struct PvSetGeometry {
+    unsigned ways = 0;
+    unsigned tagBits = 0;
+    unsigned payloadBits = 0;
+
+    unsigned entryBits() const { return tagBits + payloadBits; }
+    unsigned usedBits() const { return ways * entryBits(); }
+    bool fitsLine() const { return usedBits() <= kBlockBytes * 8; }
+};
+
 /**
  * Bit-granular (de)serializer between PvSet and a 64-byte line.
  * Geometry is (ways, tagBits, payloadBits); entry i occupies bits
@@ -74,24 +85,33 @@ class PvSetCodec
   public:
     PvSetCodec(unsigned ways, unsigned tag_bits,
                unsigned payload_bits)
-        : ways_(ways), tagBits_(tag_bits), payloadBits_(payload_bits)
+        : PvSetCodec(PvSetGeometry{ways, tag_bits, payload_bits})
+    {}
+
+    explicit PvSetCodec(const PvSetGeometry &geom)
+        : ways_(geom.ways), tagBits_(geom.tagBits),
+          payloadBits_(geom.payloadBits)
     {
         pv_assert(ways_ > 0 && ways_ <= kPvMaxWays,
                   "codec ways out of range");
         pv_assert(tagBits_ <= 32 && payloadBits_ <= 57 &&
                       payloadBits_ > 0,
                   "codec field widths out of range");
-        pv_assert(usedBits() <= kBlockBytes * 8,
+        pv_assert(geom.fitsLine(),
                   "set of %u x %u-bit entries does not fit a %u-byte "
                   "line",
-                  ways_, entryBits(), kBlockBytes);
+                  ways_, geom.entryBits(), kBlockBytes);
     }
 
     unsigned ways() const { return ways_; }
     unsigned tagBits() const { return tagBits_; }
     unsigned payloadBits() const { return payloadBits_; }
-    unsigned entryBits() const { return tagBits_ + payloadBits_; }
-    unsigned usedBits() const { return ways_ * entryBits(); }
+    PvSetGeometry geometry() const
+    {
+        return {ways_, tagBits_, payloadBits_};
+    }
+    unsigned entryBits() const { return geometry().entryBits(); }
+    unsigned usedBits() const { return geometry().usedBits(); }
     unsigned unusedBits() const { return kBlockBytes * 8 - usedBits(); }
 
     /** Decode a 64-byte line into entries. */

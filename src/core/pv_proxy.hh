@@ -48,8 +48,7 @@
  * at the L2 ("on the backside of the L1"); the hierarchy is
  * oblivious to what it is caching. Speculative fills are ReadReq
  * packets flagged isPrefetch, taking the exact same path as demand
- * fills — the determinism contract of the sharded timing mode is
- * untouched.
+ * fills.
  */
 
 #ifndef PVSIM_CORE_PV_PROXY_HH
@@ -140,7 +139,7 @@ enum class PvReqClass {
 
 /**
  * The proxy's single entry descriptor: every engine-visible access
- * is one of these, flowing proxy -> QoS arbiter -> boundary/L2.
+ * is one of these, flowing proxy -> QoS arbiter -> L2.
  * Demand requests require `op`; Prefetch requests ignore it;
  * Writeback requests run `op` (when present) on the line before
  * flushing it, or with a null view when the line is not resident.

@@ -8,20 +8,20 @@ namespace {
 
 constexpr unsigned kPayloadBits = 54;
 
-PvSetCodec
-agtCodec(const VirtAgtParams &p)
-{
-    return PvSetCodec(p.assoc, p.tagBits, kPayloadBits);
-}
-
 } // anonymous namespace
+
+PvSetGeometry
+VirtualizedAgt::geometry(const VirtAgtParams &p)
+{
+    return {p.assoc, p.tagBits, kPayloadBits};
+}
 
 VirtualizedAgt::VirtualizedAgt(PvProxy &proxy,
                                const std::string &name,
                                const VirtAgtParams &params,
                                const PvTenantQos &qos)
-    : VirtEngine(proxy, name, agtCodec(params), params.numSets,
-                 qos),
+    : VirtEngine(proxy, name, PvSetCodec(geometry(params)),
+                 params.numSets, qos),
       geom_(), blockBudget_(std::max(2u, params.blockBudget))
 {
 }

@@ -62,6 +62,9 @@ class VirtualizedAgt : public VirtEngine
                    const VirtAgtParams &params,
                    const PvTenantQos &qos = {});
 
+    /** Packing geometry of one PVTable set. */
+    static PvSetGeometry geometry(const VirtAgtParams &p);
+
     /** Completed generations go here (optional; default: dropped). */
     void setSink(GenerationSink sink) { sink_ = std::move(sink); }
 

@@ -7,21 +7,21 @@ namespace {
 /** 46 target bits cover a 48-bit VA space of 4-byte-aligned PCs. */
 constexpr unsigned kTargetBits = 46;
 
-PvSetCodec
-btbCodec(unsigned assoc, unsigned tag_bits)
-{
-    return PvSetCodec(assoc, tag_bits, kTargetBits);
-}
-
 } // anonymous namespace
+
+PvSetGeometry
+VirtualizedBtb::geometry(unsigned assoc, unsigned tag_bits)
+{
+    return {assoc, tag_bits, kTargetBits};
+}
 
 VirtualizedBtb::VirtualizedBtb(PvProxy &proxy,
                                const std::string &name,
                                unsigned num_sets, unsigned assoc,
                                unsigned tag_bits,
                                const PvTenantQos &qos)
-    : VirtEngine(proxy, name, btbCodec(assoc, tag_bits), num_sets,
-                 qos)
+    : VirtEngine(proxy, name, PvSetCodec(geometry(assoc, tag_bits)),
+                 num_sets, qos)
 {
 }
 
@@ -30,7 +30,8 @@ VirtualizedBtb::VirtualizedBtb(SimContext &ctx,
                                Addr pv_start)
     : VirtEngine(makeSingleTenantProxy(ctx, params.proxy, pv_start,
                                        params.numSets),
-                 "btb", btbCodec(params.assoc, params.tagBits),
+                 "btb",
+                 PvSetCodec(geometry(params.assoc, params.tagBits)),
                  params.numSets)
 {
 }

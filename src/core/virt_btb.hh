@@ -46,6 +46,9 @@ class VirtualizedBtb : public VirtEngine, public BtbPredictor
     VirtualizedBtb(SimContext &ctx, const VirtBtbParams &params,
                    Addr pv_start);
 
+    /** Packing geometry of one PVTable set. */
+    static PvSetGeometry geometry(unsigned assoc, unsigned tag_bits);
+
     /**
      * Predict the target of the branch at pc. In timing mode the
      * callback may fire later (after the PV line fills) or report

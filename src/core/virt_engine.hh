@@ -166,6 +166,11 @@ std::unique_ptr<VirtEngine> makeEngine(VirtEngineKind kind,
                                        const VirtEngineConfig &cfg,
                                        PvProxy &proxy);
 
+/** Packing geometry makeEngine's adapter would give cfg's sets;
+ *  lets config validation reject a set that does not fit a line
+ *  before any adapter is built. */
+PvSetGeometry engineGeometry(const VirtEngineConfig &cfg);
+
 } // namespace pvsim
 
 #endif // PVSIM_CORE_VIRT_ENGINE_HH

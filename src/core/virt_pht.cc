@@ -14,20 +14,20 @@ phtTagBits(unsigned num_sets)
     return index_bits >= kPhtKeyBits ? 1 : kPhtKeyBits - index_bits;
 }
 
-PvSetCodec
-phtCodec(unsigned num_sets, unsigned assoc)
-{
-    return PvSetCodec(assoc, phtTagBits(num_sets), 32);
-}
-
 } // anonymous namespace
+
+PvSetGeometry
+VirtualizedPht::geometry(unsigned num_sets, unsigned assoc)
+{
+    return {assoc, phtTagBits(num_sets), 32};
+}
 
 VirtualizedPht::VirtualizedPht(PvProxy &proxy,
                                const std::string &name,
                                unsigned num_sets, unsigned assoc,
                                const PvTenantQos &qos)
-    : VirtEngine(proxy, name, phtCodec(num_sets, assoc), num_sets,
-                 qos)
+    : VirtEngine(proxy, name, PvSetCodec(geometry(num_sets, assoc)),
+                 num_sets, qos)
 {
 }
 
@@ -36,7 +36,8 @@ VirtualizedPht::VirtualizedPht(SimContext &ctx,
                                Addr pv_start)
     : VirtEngine(makeSingleTenantProxy(ctx, params.proxy, pv_start,
                                        params.numSets),
-                 "pht", phtCodec(params.numSets, params.assoc),
+                 "pht",
+                 PvSetCodec(geometry(params.numSets, params.assoc)),
                  params.numSets)
 {
 }

@@ -58,6 +58,9 @@ class VirtualizedPht : public PatternHistoryTable, public VirtEngine
     VirtualizedPht(SimContext &ctx, const VirtPhtParams &params,
                    Addr pv_start);
 
+    /** Packing geometry of one PVTable set. */
+    static PvSetGeometry geometry(unsigned num_sets, unsigned assoc);
+
     // PatternHistoryTable
     void lookup(PhtKey key, LookupCallback cb) override;
     void insert(PhtKey key, SpatialPattern pattern) override;

@@ -8,20 +8,20 @@ namespace {
 
 constexpr unsigned kPayloadBits = 43;
 
-PvSetCodec
-strideCodec(const VirtStrideParams &p)
-{
-    return PvSetCodec(p.assoc, p.tagBits, kPayloadBits);
-}
-
 } // anonymous namespace
+
+PvSetGeometry
+VirtualizedStride::geometry(const VirtStrideParams &p)
+{
+    return {p.assoc, p.tagBits, kPayloadBits};
+}
 
 VirtualizedStride::VirtualizedStride(PvProxy &proxy,
                                      const std::string &name,
                                      const VirtStrideParams &params,
                                      const PvTenantQos &qos)
-    : VirtEngine(proxy, name, strideCodec(params), params.numSets,
-                 qos),
+    : VirtEngine(proxy, name, PvSetCodec(geometry(params)),
+                 params.numSets, qos),
       threshold_(params.threshold)
 {
 }
@@ -31,7 +31,7 @@ VirtualizedStride::VirtualizedStride(SimContext &ctx,
                                      Addr pv_start)
     : VirtEngine(makeSingleTenantProxy(ctx, params.proxy, pv_start,
                                        params.numSets),
-                 "stride", strideCodec(params), params.numSets),
+                 "stride", PvSetCodec(geometry(params)), params.numSets),
       threshold_(params.threshold)
 {
 }

@@ -52,6 +52,9 @@ class VirtualizedStride : public VirtEngine
     VirtualizedStride(SimContext &ctx, const VirtStrideParams &params,
                       Addr pv_start);
 
+    /** Packing geometry of one PVTable set. */
+    static PvSetGeometry geometry(const VirtStrideParams &p);
+
     /**
      * Train on one (pc, data address) observation: one
      * read-modify-write operation against the shared proxy.

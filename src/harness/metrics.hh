@@ -119,22 +119,8 @@ struct TimedRun {
     uint64_t btbUnavailable = 0;
     /** Wall-clock seconds of the measure phase (host time). */
     double wallSeconds = 0.0;
-    /** Events executed during the measure phase, across all queues. */
+    /** Events executed during the measure phase. */
     uint64_t eventsExecuted = 0;
-    /** Timing shards the run actually used (1 = serial path). */
-    unsigned timingShards = 1;
-    /** L2 bank domains the run actually scheduled (1 = serial). */
-    unsigned l2BankDomains = 1;
-    /** DRAM lanes the run actually used (1 = monolithic tail). */
-    unsigned dramLanes = 1;
-    /** Whether the overlapped boundary drain was engaged. */
-    bool drainOverlap = false;
-    /** Wall seconds of the parallel cluster phase (sharded path). */
-    double clusterPhaseSeconds = 0.0;
-    /** Wall seconds of the shared-domain phase: lane drains, bank
-     *  windows, egress flush and the DRAM window — the measured
-     *  serial fraction's numerator. */
-    double sharedPhaseSeconds = 0.0;
 
     /** Simulator throughput of the measure phase. */
     double
@@ -142,15 +128,6 @@ struct TimedRun {
     {
         return wallSeconds > 0.0 ? double(eventsExecuted) / wallSeconds
                                  : 0.0;
-    }
-
-    /** Fraction of the phase-accounted wall clock spent in the
-     *  shared-domain phase (0 when nothing was accounted). */
-    double
-    serialFraction() const
-    {
-        double total = clusterPhaseSeconds + sharedPhaseSeconds;
-        return total > 0.0 ? sharedPhaseSeconds / total : 0.0;
     }
 
     /** Taken-branch target hit rate of the attached BTBs. */
@@ -261,16 +238,6 @@ struct Fig9Options {
     unsigned pvPrefetch = 0;
     /** Victim-buffer entries per proxy (0 = none). */
     unsigned victimEntries = 0;
-    /** Timing shards per System (0 = auto, 1 = serial default). */
-    unsigned timingShards = 1;
-    /** Barrier quantum (0 = auto = L2 data latency when sharded). */
-    Cycles syncQuantum = 0;
-    /** L2 bank domains when sharded (0 = auto, clamped to banks). */
-    unsigned l2BankDomains = 0;
-    /** DRAM lanes when sharded (0 = auto, 1 = monolithic tail). */
-    unsigned dramLanes = 0;
-    /** Overlapped drains (0 = auto, 1 = off, 2 = on). */
-    unsigned drainOverlap = 0;
 };
 
 /** One (mix, stability) matched-pair outcome. */
@@ -291,18 +258,6 @@ struct Fig9Row {
     /** Host-side cost of the row (both sides, all batches). */
     double wallSeconds = 0.0;
     uint64_t eventsExecuted = 0;
-    /** Timing shards the row's Systems used (1 = serial). */
-    unsigned timingShards = 1;
-    /** L2 bank domains the row's Systems scheduled (1 = serial). */
-    unsigned l2BankDomains = 1;
-    /** DRAM lanes the row's Systems used (1 = monolithic tail). */
-    unsigned dramLanes = 1;
-    /** Whether the overlapped boundary drain was engaged. */
-    bool drainOverlap = false;
-    /** Per-phase wall clock summed over the row's measure phases
-     *  (sharded path only; both stay 0 on the serial loop). */
-    double clusterPhaseSeconds = 0.0;
-    double sharedPhaseSeconds = 0.0;
 
     /** Simulator throughput over the row's measure phases. */
     double
@@ -310,15 +265,6 @@ struct Fig9Row {
     {
         return wallSeconds > 0.0 ? double(eventsExecuted) / wallSeconds
                                  : 0.0;
-    }
-
-    /** Measured serial fraction: shared-domain share of the
-     *  phase-accounted wall clock. */
-    double
-    serialFraction() const
-    {
-        double total = clusterPhaseSeconds + sharedPhaseSeconds;
-        return total > 0.0 ? sharedPhaseSeconds / total : 0.0;
     }
 };
 
@@ -431,16 +377,6 @@ struct QosOptions {
     /** Settings to run; empty means presetQosSettings(). The first
      *  is the baseline the deltas are computed against. */
     std::vector<QosSetting> settings;
-    /** Timing shards per System (0 = auto, 1 = serial default). */
-    unsigned timingShards = 1;
-    /** Barrier quantum (0 = auto = L2 data latency when sharded). */
-    Cycles syncQuantum = 0;
-    /** L2 bank domains when sharded (0 = auto, clamped to banks). */
-    unsigned l2BankDomains = 0;
-    /** DRAM lanes when sharded (0 = auto, 1 = monolithic tail). */
-    unsigned dramLanes = 0;
-    /** Overlapped drains (0 = auto, 1 = off, 2 = on). */
-    unsigned drainOverlap = 0;
 };
 
 /** One setting's outcome (batch-aggregated; deltas are matched-seed
@@ -466,18 +402,6 @@ struct QosRow {
     /** Host-side cost of the setting (all batches). */
     double wallSeconds = 0.0;
     uint64_t eventsExecuted = 0;
-    /** Timing shards the setting's Systems used (1 = serial). */
-    unsigned timingShards = 1;
-    /** L2 bank domains the setting's Systems scheduled. */
-    unsigned l2BankDomains = 1;
-    /** DRAM lanes the setting's Systems used (1 = monolithic). */
-    unsigned dramLanes = 1;
-    /** Whether the overlapped boundary drain was engaged. */
-    bool drainOverlap = false;
-    /** Per-phase wall clock summed over the setting's measure
-     *  phases (sharded path only). */
-    double clusterPhaseSeconds = 0.0;
-    double sharedPhaseSeconds = 0.0;
 
     /** Simulator throughput over the setting's measure phases. */
     double
@@ -485,15 +409,6 @@ struct QosRow {
     {
         return wallSeconds > 0.0 ? double(eventsExecuted) / wallSeconds
                                  : 0.0;
-    }
-
-    /** Measured serial fraction: shared-domain share of the
-     *  phase-accounted wall clock. */
-    double
-    serialFraction() const
-    {
-        double total = clusterPhaseSeconds + sharedPhaseSeconds;
-        return total > 0.0 ? sharedPhaseSeconds / total : 0.0;
     }
 };
 

@@ -11,14 +11,7 @@ timedRunJson(const TimedRun &r)
     os << "\"ipc\": " << r.ipc
        << ", \"wall_seconds\": " << r.wallSeconds
        << ", \"events\": " << r.eventsExecuted
-       << ", \"events_per_sec\": " << r.eventsPerSec()
-       << ", \"timing_shards\": " << r.timingShards
-       << ", \"l2_bank_domains\": " << r.l2BankDomains
-       << ", \"dram_lanes\": " << r.dramLanes
-       << ", \"drain_overlap\": " << (r.drainOverlap ? "true" : "false")
-       << ", \"cluster_phase_seconds\": " << r.clusterPhaseSeconds
-       << ", \"shared_phase_seconds\": " << r.sharedPhaseSeconds
-       << ", \"serial_fraction\": " << r.serialFraction();
+       << ", \"events_per_sec\": " << r.eventsPerSec();
     return os.str();
 }
 
@@ -38,13 +31,7 @@ fig9RowJson(const Fig9Row &r, unsigned jobs_effective)
        << ", \"events\": " << r.eventsExecuted
        << ", \"events_per_sec\": " << r.eventsPerSec()
        << ", \"jobs_effective\": " << jobs_effective
-       << ", \"timing_shards\": " << r.timingShards
-       << ", \"l2_bank_domains\": " << r.l2BankDomains
-       << ", \"dram_lanes\": " << r.dramLanes
-       << ", \"drain_overlap\": " << (r.drainOverlap ? "true" : "false")
-       << ", \"cluster_phase_seconds\": " << r.clusterPhaseSeconds
-       << ", \"shared_phase_seconds\": " << r.sharedPhaseSeconds
-       << ", \"serial_fraction\": " << r.serialFraction() << "}";
+ << "}";
     return os.str();
 }
 
@@ -67,13 +54,7 @@ qosRowJson(const QosRow &r, unsigned jobs_effective)
        << ", \"events\": " << r.eventsExecuted
        << ", \"events_per_sec\": " << r.eventsPerSec()
        << ", \"jobs_effective\": " << jobs_effective
-       << ", \"timing_shards\": " << r.timingShards
-       << ", \"l2_bank_domains\": " << r.l2BankDomains
-       << ", \"dram_lanes\": " << r.dramLanes
-       << ", \"drain_overlap\": " << (r.drainOverlap ? "true" : "false")
-       << ", \"cluster_phase_seconds\": " << r.clusterPhaseSeconds
-       << ", \"shared_phase_seconds\": " << r.sharedPhaseSeconds
-       << ", \"serial_fraction\": " << r.serialFraction() << "}";
+ << "}";
     return os.str();
 }
 

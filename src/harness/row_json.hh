@@ -17,7 +17,7 @@
 
 namespace pvsim {
 
-/** Host-cost + phase-split body of one TimedRun (no braces): the
+/** IPC + host-cost body of one TimedRun (no braces): the
  *  "reference"/"protected" objects of BENCH_qos.json. */
 std::string timedRunJson(const TimedRun &r);
 

@@ -1,14 +1,11 @@
 #include "harness/system.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "trace/workload.hh"
 #include "util/logging.hh"
 
 namespace pvsim {
-
-unsigned harnessJobs(); // metrics.cc (PVSIM_JOBS, clamped)
 
 const char *
 prefetchModeName(PrefetchMode mode)
@@ -83,32 +80,6 @@ System::System(const SystemConfig &cfg)
               "per-core reservation",
               (unsigned long long)registry_bytes);
 
-    // Sharded timing engages whenever the config departs from the
-    // serial defaults — including timingShards=1 with an explicit
-    // quantum, so serial-vs-sharded comparisons exercise identical
-    // machinery and differ only in thread count.
-    const bool sharded =
-        cfg_.mode == SimMode::Timing &&
-        (cfg_.timingShards != 1 || cfg_.syncQuantum > 0);
-    if (sharded) {
-        unsigned want = cfg_.timingShards == 0
-                            ? harnessJobs()
-                            : cfg_.timingShards;
-        shardsEffective_ = std::max(
-            1u, std::min(want, unsigned(cfg_.numCores)));
-        quantumEffective_ =
-            cfg_.syncQuantum == 0
-                ? cfg_.l2DataLatency
-                : std::min(cfg_.syncQuantum, cfg_.l2DataLatency);
-        quantumEffective_ = std::max<Cycles>(1, quantumEffective_);
-        shards_ = std::make_unique<QuantumScheduler>(shardsEffective_);
-        coreCluster_.resize(size_t(cfg_.numCores));
-        for (int c = 0; c < cfg_.numCores; ++c)
-            coreCluster_[size_t(c)] =
-                unsigned(uint64_t(c) * shardsEffective_ /
-                         uint64_t(cfg_.numCores));
-    }
-
     DramParams dp;
     dp.name = "dram";
     dp.latency = cfg_.memLatency;
@@ -127,111 +98,6 @@ System::System(const SystemConfig &cfg)
     l2p.dropPvWritebacks = cfg_.dropPvWritebacks;
     l2_ = std::make_unique<Cache>(ctx_, l2p, &addrMap_);
     l2_->setMemSide(dram_.get());
-
-    // Bank-domain shared phase: in sharded timing the L2 itself is
-    // partitioned by address into bank domains, each with its own
-    // event queue run by a bank worker at the quantum edge. All L2
-    // state (blocks, tags, directory, MSHRs, send queues) is
-    // bank-disjoint after enableBankPartition; all cross-domain
-    // traffic goes through per-bank lanes flushed in canonical bank
-    // order — so results are bit-identical for every domain count.
-    if (shards_) {
-        unsigned want_b = cfg_.l2BankDomains == 0
-                              ? harnessJobs()
-                              : cfg_.l2BankDomains;
-        bankDomainsEffective_ = std::max(
-            1u, std::min(want_b, cfg_.l2Banks));
-        bankShards_ =
-            std::make_unique<QuantumScheduler>(bankDomainsEffective_);
-        bankDomain_.resize(cfg_.l2Banks);
-        for (unsigned b = 0; b < cfg_.l2Banks; ++b)
-            bankDomain_[b] = unsigned(uint64_t(b) *
-                                      bankDomainsEffective_ /
-                                      uint64_t(cfg_.l2Banks));
-        // Bank workers bump the shared L2's stat objects; each
-        // worker thread accumulates into its own deferral, flushed
-        // by the main thread at every barrier (commutative merges,
-        // so flush order cannot matter).
-        bankDeferrals_.resize(bankDomainsEffective_);
-        bankShards_->setWorkerInit([this](unsigned idx) {
-            stats::Deferral::installOnThisThread(
-                &bankDeferrals_[idx]);
-        });
-        auto bank_of = [l2 = l2_.get()](Addr a) {
-            return l2->bankOf(a);
-        };
-        bankEgress_ = std::make_unique<BankEgress>(cfg_.l2Banks,
-                                                   bank_of);
-        std::vector<EventQueue *> bank_eqs(cfg_.l2Banks);
-        for (unsigned b = 0; b < cfg_.l2Banks; ++b)
-            bank_eqs[b] = &bankShards_->clusterQueue(bankDomain_[b]);
-        dramRouter_ = std::make_unique<BankLaneRouter>(
-            dram_.get(), std::move(bank_eqs), bank_of, "dram.lanes");
-        l2_->setMemSide(dramRouter_.get());
-        l2_->setResponseRouter(
-            [this](Addr a) { return &bankQueueOf(a); });
-        l2_->enableBankPartition();
-
-        // DRAM lanes: with more than one lane the DRAM backing
-        // store is partitioned per bank and service runs on the
-        // bank workers (Dram::serviceSharded): the fills land at
-        // their due (tick, response-priority) slot in the owning
-        // bank's domain queue — the exact slot the serial tail's
-        // responseRouter_ would have used — and only the
-        // channel-reservation walk stays on the main thread. One
-        // lane keeps the monolithic serial DRAM tail.
-        unsigned want_l = cfg_.dramLanes == 0 ? cfg_.l2Banks
-                                              : cfg_.dramLanes;
-        dramLanesEffective_ =
-            std::max(1u, std::min(want_l, cfg_.l2Banks));
-        if (dramLanesEffective_ > 1)
-            dram_->enableBankStores(cfg_.l2Banks, bank_of);
-
-        // Overlapped drains: the boundary lanes double-buffer and
-        // the barrier's serial flush loops fan out to the window
-        // prologues — each cluster worker replays its own egress
-        // share, each bank worker drains its own domain's staged
-        // packets. Per-queue insertion orders are exactly those of
-        // the serial flushes, so results are bit-identical.
-        overlapEffective_ = cfg_.drainOverlap == 0
-                                ? dramLanesEffective_ > 1
-                                : cfg_.drainOverlap >= 2;
-        if (overlapEffective_) {
-            shards_->setWindowPrologue(
-                [this](unsigned, EventQueue &q) {
-                    bankEgress_->flushCluster(&q);
-                });
-            bankShards_->setWindowPrologue(
-                [this](unsigned dom, EventQueue &q) {
-                    std::function<EventQueue *(Addr)> mine =
-                        [this, dom, &q](Addr a) -> EventQueue * {
-                        return bankDomain_[l2_->bankOf(a)] == dom
-                                   ? &q
-                                   : nullptr;
-                    };
-                    for (auto &b : downBoundaries_)
-                        b->drainStaged(mine);
-                });
-        }
-    }
-
-    // In sharded timing, every private-component-to-L2 link goes
-    // through a boundary pair (see mem/boundary_port.hh); the pair
-    // is registered with the L2 in the private component's place so
-    // directory slots keep the serial wiring order.
-    auto makeBoundary = [&](MemClient *client, const std::string &nm,
-                            unsigned cluster) -> MemDevice * {
-        EventQueue *ceq = &shards_->clusterQueue(cluster);
-        auto up = std::make_unique<UpstreamBoundary>(client, ceq,
-                                                     nm + ".bnd");
-        up->setEgress(bankEgress_.get());
-        auto down = std::make_unique<DownstreamBoundary>(
-            l2_.get(), up.get(), ceq, nm + ".bnd");
-        MemDevice *dev = down.get();
-        upBoundaries_.push_back(std::move(up));
-        downBoundaries_.push_back(std::move(down));
-        return dev;
-    };
 
     for (int c = 0; c < cfg_.numCores; ++c) {
         std::string cn = "core" + std::to_string(c);
@@ -257,20 +123,10 @@ System::System(const SystemConfig &cfg)
         l1p.name = cn + ".l1i";
         auto l1i = std::make_unique<Cache>(ctx_, l1p, &addrMap_);
 
-        if (shards_) {
-            unsigned cl = coreCluster_[size_t(c)];
-            l1d->setMemSide(makeBoundary(l1d.get(), cn + ".l1d", cl));
-            l1d->setLowerSlot(
-                l2_->attachClient(upBoundaries_.back().get()));
-            l1i->setMemSide(makeBoundary(l1i.get(), cn + ".l1i", cl));
-            l1i->setLowerSlot(
-                l2_->attachClient(upBoundaries_.back().get()));
-        } else {
-            l1d->setMemSide(l2_.get());
-            l1d->setLowerSlot(l2_->attachClient(l1d.get()));
-            l1i->setMemSide(l2_.get());
-            l1i->setLowerSlot(l2_->attachClient(l1i.get()));
-        }
+        l1d->setMemSide(l2_.get());
+        l1d->setLowerSlot(l2_->attachClient(l1d.get()));
+        l1i->setMemSide(l2_.get());
+        l1i->setLowerSlot(l2_->attachClient(l1i.get()));
 
         std::unique_ptr<TraceSource> workload;
         if (!cfg_.traceDir.empty()) {
@@ -315,13 +171,7 @@ System::System(const SystemConfig &cfg)
                                 : addrMap_.pvStart(c);
             pvproxy = std::make_unique<PvProxy>(
                 ctx_, pp, pv_start, cfg_.pvBytesPerCore);
-            if (shards_) {
-                pvproxy->setMemSide(makeBoundary(
-                    pvproxy.get(), pp.name,
-                    coreCluster_[size_t(c)]));
-            } else {
-                pvproxy->setMemSide(l2_.get());
-            }
+            pvproxy->setMemSide(l2_.get());
 
             // The core drives the first tenant of each kind (the
             // accessors also resolve to the first); later same-kind
@@ -468,8 +318,6 @@ System::runTiming(uint64_t records_per_core)
 {
     pv_assert(ctx_.mode() == SimMode::Timing,
               "runTiming on a functional system");
-    if (shards_)
-        return runTimingSharded(records_per_core);
     for (auto &core : cores_)
         core->start(records_per_core);
 
@@ -497,175 +345,10 @@ System::runTiming(uint64_t records_per_core)
     return last_finish ? last_finish : eq.curTick();
 }
 
-Tick
-System::runTimingSharded(uint64_t records_per_core)
-{
-    const Tick quantum = quantumEffective_;
-    EventQueue &shared = ctx_.baseEvents();
-
-    // Start each core inside its cluster's queue so its first tick
-    // event — and everything downstream of it — lands in the right
-    // domain.
-    for (int c = 0; c < cfg_.numCores; ++c) {
-        EventQueue::CurrentScope scope(
-            &shards_->clusterQueue(coreCluster_[size_t(c)]));
-        cores_[size_t(c)]->start(records_per_core);
-    }
-
-    // Conservative rounds: clusters run the window in parallel
-    // first; the bank workers then run the L2 over the same window,
-    // and the DRAM traffic is replayed in canonical order before
-    // the next round. Responses crossing a domain carry at least
-    // the L2 data latency (>= the quantum) — cluster-bound — or the
-    // DRAM latency — bank-bound — so they are always due in a later
-    // window, never behind any clock. Three knobs shape the barrier
-    // work without changing any delivery tick or per-queue order:
-    //
-    //  - serial (dramLanes=1, overlap off): lanes drain on the main
-    //    thread, the DRAM window runs on the base queue — the
-    //    historical loop, preserved bit for bit.
-    //  - in-phase DRAM (dramLanes>1): the main thread only walks
-    //    the DRAM lanes in canonical (tick, bank, order) sequence
-    //    reserving channel slots; service lands as events in the
-    //    owning bank's queue and runs on the worker pool.
-    //  - overlap: the boundary lanes double-buffer and the serial
-    //    flush loops fan out to the window prologues (each cluster
-    //    flushes its own egress share, each bank domain drains its
-    //    own staged packets); the main thread flushes the stat
-    //    deferrals concurrently with the cluster phase.
-    const auto route = [this](Addr a) -> EventQueue & {
-        return bankQueueOf(a);
-    };
-    const bool in_phase_dram = dramLanesEffective_ > 1;
-    const bool overlap = overlapEffective_;
-    using SteadyClock = std::chrono::steady_clock;
-    const auto seconds_between = [](SteadyClock::time_point a,
-                                    SteadyClock::time_point b) {
-        return std::chrono::duration<double>(b - a).count();
-    };
-    Tick window = 0;
-    Tick last_finish = 0;
-    for (;;) {
-        Tick min_next = std::min(shards_->minPendingTick(),
-                                 bankShards_->minPendingTick());
-        if (!shared.empty())
-            min_next = std::min(min_next, shared.nextTick());
-        if (overlap) {
-            // Parked egress records are not in any queue yet; their
-            // delivery ticks (a response's due tick; the current
-            // edge for deferred coherence) bound the fast-forward
-            // exactly as the flushed events would have.
-            min_next = std::min(min_next,
-                                bankEgress_->minPendingTick(window));
-        }
-        if (min_next == kMaxTick)
-            break; // every queue and lane drained
-        if (min_next >= window + quantum) {
-            // Fast-forward over empty windows (DRAM-bound phases
-            // would otherwise spin dozens of silent barriers per
-            // 400-cycle epoch).
-            window += quantum * ((min_next - window) / quantum);
-        }
-        const Tick window_end = window + quantum;
-        const auto t0 = SteadyClock::now();
-        if (overlap) {
-            // Cluster prologues flush last window's egress records;
-            // the deferral flush (stats only, touching nothing any
-            // cluster owns) overlaps with the window.
-            shards_->runWindowAsync(window_end);
-            for (auto &d : bankDeferrals_)
-                d.flush();
-            shards_->wait();
-        } else {
-            shards_->runWindow(window_end);
-        }
-        const auto t1 = SteadyClock::now();
-        clusterPhaseSeconds_ += seconds_between(t0, t1);
-        if (overlap) {
-            bankEgress_->clearAll();
-            for (auto &b : downBoundaries_)
-                b->swapLanes();
-            bankShards_->runWindow(window_end); // prologues drain
-            for (auto &b : downBoundaries_)
-                b->clearStaged();
-        } else {
-            for (auto &b : downBoundaries_)
-                b->drainBanked(route);
-            bankShards_->runWindow(window_end);
-            bankEgress_->flush();
-            for (auto &d : bankDeferrals_)
-                d.flush();
-        }
-        if (in_phase_dram) {
-            dramRouter_->drainSharded(
-                [this](Tick when, PacketPtr pkt) {
-                    dram_->serviceSharded(when, pkt,
-                                          bankQueueOf(pkt->addr));
-                });
-            // Nothing targets the base queue on this path (fills
-            // land in the bank queues), but drain it defensively so
-            // a stray event can never stall the fast-forward.
-            if (!shared.empty())
-                shared.runUntil(window_end - 1);
-            if (shared.curTick() < window_end)
-                shared.setCurTick(window_end);
-        } else {
-            dramRouter_->drainTo(shared);
-            shared.runUntil(window_end - 1);
-            if (shared.curTick() < window_end)
-                shared.setCurTick(window_end);
-        }
-        sharedPhaseSeconds_ += seconds_between(t1, SteadyClock::now());
-        if (last_finish == 0) {
-            bool all_done = true;
-            for (auto &core : cores_)
-                all_done = all_done && core->done();
-            if (all_done) {
-                for (auto &core : cores_)
-                    last_finish = std::max(last_finish,
-                                           core->finishTick());
-            }
-            // Keep draining in-flight prefetches and writebacks.
-        }
-        window = window_end;
-    }
-    if (overlap) {
-        // Residual deferred stats of the final bank window.
-        for (auto &d : bankDeferrals_)
-            d.flush();
-    }
-    for (auto &core : cores_) {
-        pv_assert(core->done(),
-                  "%s: event queues drained mid-run — lost response",
-                  core->name().c_str());
-    }
-    return last_finish ? last_finish : window;
-}
-
-uint64_t
-System::boundaryLateResponses() const
-{
-    uint64_t n = 0;
-    for (const auto &b : upBoundaries_)
-        n += b->lateResponses();
-    return n;
-}
-
-uint64_t
-System::boundaryDeferredCoherence() const
-{
-    uint64_t n = 0;
-    for (const auto &b : upBoundaries_)
-        n += b->deferredCoherence();
-    return n;
-}
-
 void
 System::resetStats()
 {
     ctx_.resetStats();
-    clusterPhaseSeconds_ = 0.0;
-    sharedPhaseSeconds_ = 0.0;
     for (auto &btb : dedicatedBtbs_) {
         if (btb)
             btb->resetLookupStats();

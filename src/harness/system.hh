@@ -13,8 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "stats/stat.hh"
-
 #include "core/virt_agt.hh"
 #include "core/virt_btb.hh"
 #include "core/virt_pht.hh"
@@ -22,12 +20,10 @@
 #include "cpu/trace_core.hh"
 #include "harness/system_config.hh"
 #include "mem/addr_map.hh"
-#include "mem/boundary_port.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "prefetch/sms.hh"
 #include "prefetch/stride.hh"
-#include "sim/quantum_scheduler.hh"
 #include "trace/synthetic_gen.hh"
 #include "trace/trace_io.hh"
 
@@ -112,61 +108,8 @@ class System
      */
     Tick runTiming(uint64_t records_per_core);
 
-    // ---- Sharded timing observability ------------------------------
-
-    /** Timing shards actually used (1 on the serial path). */
-    unsigned timingShardsEffective() const { return shardsEffective_; }
-
-    /** Barrier quantum actually used (0 on the serial path). */
-    Cycles syncQuantumEffective() const { return quantumEffective_; }
-
-    /** True when runTiming uses the quantum (sharded) machinery. */
-    bool shardedTiming() const { return shards_ != nullptr; }
-
-    /** L2 bank domains actually scheduled (1 on the serial path). */
-    unsigned l2BankDomainsEffective() const
-    {
-        return bankDomainsEffective_;
-    }
-
-    /** DRAM lanes actually used (1 = the monolithic serial DRAM
-     *  tail; > 1 = per-bank stores with service inside the banked
-     *  shared phase). */
-    unsigned dramLanesEffective() const { return dramLanesEffective_; }
-
-    /** True when the overlapped boundary drain is engaged (lane
-     *  double-buffering + prologue-fanned drains). */
-    bool drainOverlapEffective() const { return overlapEffective_; }
-
-    /** Wall-clock seconds spent in the parallel cluster phase of
-     *  runTiming (sharded path only; 0 otherwise). */
-    double clusterPhaseSeconds() const { return clusterPhaseSeconds_; }
-
-    /** Wall-clock seconds spent in the shared-domain phase — lane
-     *  drains, the bank-domain window, egress flush, and the DRAM
-     *  window on the main thread. The measured serial fraction is
-     *  sharedPhaseSeconds / (cluster + shared). */
-    double sharedPhaseSeconds() const { return sharedPhaseSeconds_; }
-
-    /** Events executed across every queue of this system. */
-    uint64_t
-    eventsExecuted()
-    {
-        uint64_t n = ctx_.baseEvents().numExecuted();
-        if (shards_)
-            n += shards_->eventsExecuted();
-        if (bankShards_)
-            n += bankShards_->eventsExecuted();
-        return n;
-    }
-
-    /** Cross-cluster responses delivered past their due tick —
-     *  zero whenever the quantum respects the L2-latency bound
-     *  (asserted in the parallel-timing tests). */
-    uint64_t boundaryLateResponses() const;
-
-    /** Invalidations/downgrades deferred to a quantum edge. */
-    uint64_t boundaryDeferredCoherence() const;
+    /** Events executed by this system's event queue. */
+    uint64_t eventsExecuted() { return ctx_.events().numExecuted(); }
 
     /** Reset all statistics (end of warmup), including the BTB
      *  predictors' lookup counters, which live outside the stats
@@ -192,17 +135,6 @@ class System
         return nullptr;
     }
 
-    /** Quantum-path timing loop (see runTiming). */
-    Tick runTimingSharded(uint64_t records_per_core);
-
-    /** Bank-domain queue owning a block address. */
-    EventQueue &
-    bankQueueOf(Addr addr)
-    {
-        return bankShards_->clusterQueue(
-            bankDomain_[l2_->bankOf(addr)]);
-    }
-
     SystemConfig cfg_;
     SimContext ctx_;
     AddrMap addrMap_;
@@ -224,37 +156,6 @@ class System
     std::vector<std::vector<std::unique_ptr<VirtEngine>>> engines_;
     std::vector<std::unique_ptr<PatternHistoryTable>> ownedPhts_;
     std::vector<PatternHistoryTable *> phts_;
-
-    // ---- Sharded timing (null/empty on the serial path) -------------
-    /** Cluster queues + worker pool. */
-    std::unique_ptr<QuantumScheduler> shards_;
-    /** Boundary pairs in wiring order (core-major: l1d, l1i,
-     *  proxy); drain order at the barrier is this order. */
-    std::vector<std::unique_ptr<UpstreamBoundary>> upBoundaries_;
-    std::vector<std::unique_ptr<DownstreamBoundary>> downBoundaries_;
-    /** Cluster index of each core. */
-    std::vector<unsigned> coreCluster_;
-    unsigned shardsEffective_ = 1;
-    Cycles quantumEffective_ = 0;
-
-    // ---- Bank-domain shared phase (null/empty unless sharded) -------
-    /** Bank-domain queues + worker pool for the shared L2. */
-    std::unique_ptr<QuantumScheduler> bankShards_;
-    /** Per-bank L2-to-cluster egress lanes (see BankEgress). */
-    std::unique_ptr<BankEgress> bankEgress_;
-    /** The L2's memory side: per-bank lanes into the DRAM queue. */
-    std::unique_ptr<BankLaneRouter> dramRouter_;
-    /** Domain index of each L2 bank (contiguous grouping). */
-    std::vector<unsigned> bankDomain_;
-    /** One stat deferral per bank-domain worker thread. */
-    std::vector<stats::Deferral> bankDeferrals_;
-    unsigned bankDomainsEffective_ = 1;
-    /** DRAM lanes (in-phase DRAM service when > 1). */
-    unsigned dramLanesEffective_ = 1;
-    /** Overlapped drain pipeline engaged. */
-    bool overlapEffective_ = false;
-    double clusterPhaseSeconds_ = 0.0;
-    double sharedPhaseSeconds_ = 0.0;
 };
 
 } // namespace pvsim

@@ -17,7 +17,6 @@
 #define PVSIM_MEM_CACHE_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,42 +111,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Observer of this cache's demand activity (may be nullptr). */
     void setListener(CacheListener *l) { listener_ = l; }
 
-    /**
-     * Split the MSHR file, lookup/send queues and LRU counter into
-     * per-bank partitions so events of different banks can execute
-     * concurrently without sharing any mutable state (the shared
-     * L2 in bank-domain timing mode). Requires block-interleaved
-     * banks that divide the set count — then every set, and with it
-     * every block frame, tag, LRU word and directory SharerSet,
-     * belongs to exactly one bank. Must be called before any
-     * traffic. The per-bank LRU counters preserve each set's
-     * relative touch order, so victim choice is identical to the
-     * unpartitioned cache; only MSHR/send-queue admission becomes
-     * bank-local (capacity numMshrs/banks per bank).
-     */
-    void enableBankPartition();
-
-    /** True after enableBankPartition(). */
-    bool bankPartitioned() const { return stateBanks_ > 1; }
-
-    /**
-     * Route fills arriving from below (recvResponse deliveries)
-     * into a per-address queue instead of the calling domain's —
-     * bank-domain mode schedules each DRAM fill directly into the
-     * owning bank's queue.
-     */
-    void
-    setResponseRouter(std::function<EventQueue *(Addr)> router)
-    {
-        responseRouter_ = std::move(router);
-    }
-
-    /** Owning bank of a block address (block-interleaved). */
-    unsigned bankOf(Addr block_addr) const
-    {
-        return unsigned(blockNumber(block_addr) % params_.banks);
-    }
-
     // -- MemDevice (requests from above) ----------------------------
 
     bool recvRequest(PacketPtr pkt) override;
@@ -157,8 +120,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     // -- MemClient (fills and coherence from below) ------------------
 
     void recvResponse(PacketPtr pkt) override;
-    void scheduleResponse(EventQueue &eq, Cycles delay,
-                          PacketPtr pkt) override;
     void recvInvalidate(Addr block_addr) override;
     void recvDowngrade(Addr block_addr) override;
     std::string clientName() const override { return name(); }
@@ -212,51 +173,17 @@ class Cache final : public SimObject, public MemDevice, public MemClient
                 fn(blk);
     }
 
-    /** Outstanding misses across all bank partitions. */
-    unsigned
-    outstandingMisses() const
-    {
-        unsigned n = 0;
-        for (const auto &m : mshrs_)
-            n += m.used();
-        return n;
-    }
+    /** Outstanding misses (tests / draining). */
+    unsigned outstandingMisses() const { return mshrs_.used(); }
 
-    /** Outstanding misses of one bank partition. */
-    unsigned
-    outstandingMisses(unsigned bank) const
-    {
-        return mshrs_.at(bank % stateBanks_).used();
-    }
-
-    /** An MSHR file partition (diagnostics: who is stuck on what). */
-    const MshrFile &mshrFile(unsigned bank = 0) const
-    {
-        return mshrs_.at(bank % stateBanks_);
-    }
-
-    /** Number of MSHR-file partitions (1 unless bank-partitioned). */
-    unsigned mshrPartitions() const { return stateBanks_; }
+    /** The MSHR file (diagnostics: who is stuck on what). */
+    const MshrFile &mshrFile() const { return mshrs_; }
 
     /** Accepted requests still in the tag-lookup stage. */
-    unsigned
-    pendingLookups() const
-    {
-        unsigned n = 0;
-        for (unsigned v : pendingLookups_)
-            n += v;
-        return n;
-    }
+    unsigned pendingLookups() const { return pendingLookups_; }
 
     /** Downstream requests queued behind backpressure. */
-    size_t
-    sendQueueDepth() const
-    {
-        size_t n = 0;
-        for (const auto &q : sendQueue_)
-            n += q.size();
-        return n;
-    }
+    size_t sendQueueDepth() const { return sendQueue_.size(); }
 
     /** True when no activity is pending inside the cache. */
     bool quiesced() const;
@@ -319,13 +246,7 @@ class Cache final : public SimObject, public MemDevice, public MemClient
 
     unsigned bankIndex(Addr block_addr) const
     {
-        return bankOf(block_addr);
-    }
-
-    /** Partition index for MSHR/send-queue/LRU-counter state. */
-    unsigned stateBankOf(Addr block_addr) const
-    {
-        return stateBanks_ > 1 ? bankIndex(block_addr) : 0;
+        return unsigned(blockNumber(block_addr) % params_.banks);
     }
 
     CacheBlk *findBlock(Addr block_addr);
@@ -402,7 +323,7 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     void handleLookup(PacketPtr pkt);
     void handleMiss(PacketPtr pkt);
     void sendDownstream(PacketPtr pkt);
-    void drainSendQueue(unsigned bank);
+    void drainSendQueue();
     Tick bankReadyTick(Addr block_addr);
 
     // -- Members --------------------------------------------------------
@@ -436,35 +357,22 @@ class Cache final : public SimObject, public MemDevice, public MemClient
      *  touch run inline instead of through the policy virtuals —
      *  identical choices, no candidate-vector rebuild per miss. */
     bool lruFast_ = false;
+    uint64_t accessCounter_ = 0;
 
     MemDevice *memSide_ = nullptr;
     std::vector<MemClient *> clients_;
     CacheListener *listener_ = nullptr;
     int slotAtLower_ = -1;
 
-    /**
-     * Per-bank mutable state, all indexed by stateBankOf(): one
-     * partition on the default path (bit-identical to a single
-     * shared structure), params_.banks partitions after
-     * enableBankPartition(). No entry is ever touched by two bank
-     * workers: a bank's events only reference its own addresses.
-     */
-    unsigned stateBanks_ = 1;
-    std::vector<MshrFile> mshrs_;
+    MshrFile mshrs_;
     /** Accepted requests whose tag lookup has not resolved yet;
      *  counted against the MSHR budget so acceptance is honest. */
-    std::vector<unsigned> pendingLookups_;
-    /** LRU clock; per-bank counters keep each set's relative touch
-     *  order identical to a single global counter. */
-    std::vector<uint64_t> accessCounter_;
+    unsigned pendingLookups_ = 0;
     /** Reused victim-candidate buffer (avoids per-miss allocation). */
-    std::vector<std::vector<CacheBlk *>> victimScratch_;
+    std::vector<CacheBlk *> victimScratch_;
     /** Downstream packets awaiting acceptance (misses, writebacks). */
-    std::vector<std::deque<PacketPtr>> sendQueue_;
-    std::vector<char> drainScheduled_;
-
-    /** Fill-delivery redirect for bank-domain mode (else null). */
-    std::function<EventQueue *(Addr)> responseRouter_;
+    std::deque<PacketPtr> sendQueue_;
+    bool drainScheduled_ = false;
 
     std::vector<Tick> bankFreeAt_;
 };

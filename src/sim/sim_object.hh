@@ -44,31 +44,8 @@ class SimContext
     SimMode mode() const { return mode_; }
     bool isTiming() const { return mode_ == SimMode::Timing; }
 
-    /**
-     * The event queue the calling thread should schedule into: the
-     * thread's current-queue override when one is installed (the
-     * sharded timing driver points each worker at its cluster's
-     * queue for the duration of a quantum), else the context's base
-     * queue. Serial simulation never installs an override, so this
-     * stays the single shared queue.
-     */
-    EventQueue &
-    events()
-    {
-        EventQueue *cur = EventQueue::current();
-        return cur ? *cur : events_;
-    }
-
-    /** The context's own queue, ignoring any thread-local override
-     *  (the sharded driver's shared L2/DRAM domain). */
-    EventQueue &baseEvents() { return events_; }
-
-    Tick
-    curTick() const
-    {
-        EventQueue *cur = EventQueue::current();
-        return cur ? cur->curTick() : events_.curTick();
-    }
+    EventQueue &events() { return events_; }
+    Tick curTick() const { return events_.curTick(); }
 
     stats::Group &statsRoot() { return root_; }
 

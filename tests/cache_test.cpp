@@ -405,12 +405,12 @@ struct TimingCacheTest : public ::testing::Test {
     TestClient client;
 
     void
-    build(unsigned mshrs = 4)
+    build(unsigned mshrs = 4, Cycles tag_latency = 1)
     {
         params.name = "c";
         params.sizeBytes = 4 * 1024;
         params.assoc = 2;
-        params.tagLatency = 1;
+        params.tagLatency = tag_latency;
         params.dataLatency = 1;
         params.numMshrs = mshrs;
         cache = std::make_unique<Cache>(ctx, params, &amap);
@@ -588,73 +588,47 @@ TEST_F(TimingCacheTest, NoLeaksAfterTimingRun)
     EXPECT_EQ(Packet::liveCount(), before);
 }
 
-// ---------------------------------------------------------------------
-// Bank-partitioned state (PR 7: independently schedulable bank
-// domains need the MSHR file, lookups, send queues and directory
-// sets owned by exactly one bank each)
-// ---------------------------------------------------------------------
-
-TEST_F(TimingCacheTest, BankPartitionedMshrsAreBankLocal)
+TEST_F(TimingCacheTest, SameBankLookupsSerializeByTagLatency)
 {
-    // 4 banks x (8 MSHRs / 4) = 2 MSHRs per bank. Bank of a block
-    // is blockNumber % banks, so blocks 4, 8, 12 all live in bank 0
-    // and block 5 lives in bank 1.
+    // A bank starts one tag lookup per tagLatency: two same-tick
+    // hits to one bank finish tagLatency apart, while hits to two
+    // different banks overlap. The bank of a block is its block
+    // number modulo the bank count, so blocks 4 and 8 share bank 0
+    // and block 5 is in bank 1.
     params.banks = 4;
-    build(/*mshrs=*/8);
-    cache->enableBankPartition();
-    ASSERT_TRUE(cache->bankPartitioned());
-    EXPECT_EQ(cache->mshrPartitions(), 4u);
-
-    const Addr b0_a = 4 * 64, b0_b = 8 * 64, b0_c = 12 * 64;
-    const Addr b1_a = 5 * 64;
-    ASSERT_EQ(cache->bankOf(b0_a), 0u);
-    ASSERT_EQ(cache->bankOf(b0_c), 0u);
-    ASSERT_EQ(cache->bankOf(b1_a), 1u);
-
-    EXPECT_TRUE(cache->recvRequest(makeRead(b0_a)));
-    EXPECT_TRUE(cache->recvRequest(makeRead(b0_b)));
-    // Bank 0's two MSHRs are busy: a third bank-0 block bounces...
-    PacketPtr third = makeRead(b0_c);
-    EXPECT_FALSE(cache->recvRequest(third));
-    EXPECT_EQ(cache->mshrRejects.value(), 1u);
-    delete third;
-    // ...while bank 1 still has both of its slots free.
-    EXPECT_TRUE(cache->recvRequest(makeRead(b1_a)));
-    // Let the lookups allocate their MSHRs (tag + bank latency),
-    // well before the 400-cycle DRAM fills come back.
-    ctx.events().runUntil(10);
-    EXPECT_EQ(cache->outstandingMisses(0), 2u);
-    EXPECT_EQ(cache->outstandingMisses(1), 1u);
-    EXPECT_EQ(cache->outstandingMisses(), 3u);
-
-    ctx.events().runUntil();
-    EXPECT_EQ(client.responses.size(), 3u);
-    EXPECT_TRUE(cache->quiesced());
-    EXPECT_EQ(cache->outstandingMisses(), 0u);
-}
-
-TEST_F(TimingCacheTest, BankPartitionRequiresCleanDividedState)
-{
-    // Banks must divide the set count (every set owned by one
-    // bank)...
-    params.banks = 3; // 32 sets % 3 != 0
-    build();
-    EXPECT_DEATH(cache->enableBankPartition(),
-                 "divide the set count");
-    // ...and partitioning after traffic would split live state.
-    params.banks = 4;
-    build();
-    cache->recvRequest(makeRead(0x1000));
+    build(/*mshrs=*/4, /*tag_latency=*/3);
+    const Addr bank0_a = 4 * 64, bank0_b = 8 * 64, bank1 = 5 * 64;
+    for (Addr a : {bank0_a, bank0_b, bank1})
+        ASSERT_TRUE(cache->recvRequest(makeRead(a)));
     ctx.events().runUntil();
     client.clearResponses();
-    EXPECT_DEATH(cache->enableBankPartition(), "after traffic");
+
+    // Issue two hits in one tick; return each one's completion
+    // time relative to that tick, in completion order.
+    auto hitTimes = [&](Addr x, Addr y) {
+        const Tick start = ctx.curTick();
+        EXPECT_TRUE(cache->recvRequest(makeRead(x)));
+        EXPECT_TRUE(cache->recvRequest(makeRead(y)));
+        std::vector<Tick> done;
+        while (!ctx.events().empty()) {
+            ctx.events().runOneTick();
+            while (done.size() < client.responses.size())
+                done.push_back(ctx.curTick() - start);
+        }
+        client.clearResponses();
+        return done;
+    };
+    const Tick hit = params.tagLatency + params.dataLatency;
+    EXPECT_EQ(hitTimes(bank0_a, bank0_b),
+              (std::vector<Tick>{hit, hit + params.tagLatency}));
+    EXPECT_EQ(hitTimes(bank0_a, bank1), (std::vector<Tick>{hit, hit}));
 }
 
 TEST(BankedCoherenceTest, DirectoryTracksSharersAcrossBanks)
 {
-    // The inclusive directory keeps working when its sets are
-    // partitioned by bank: sharer tracking, invalidation on GetX
-    // and back-invalidation stay exact for blocks in any bank.
+    // The inclusive directory tracks blocks in every bank of a
+    // banked L2: sharer tracking and invalidation on GetX stay
+    // exact for blocks in any bank.
     SimContext ctx{SimMode::Functional};
     AddrMap amap{1ull << 30, 2, 64 * 1024};
     Dram dram{ctx, DramParams{"dram", 400, 0}, &amap};
@@ -667,8 +641,6 @@ TEST(BankedCoherenceTest, DirectoryTracksSharersAcrossBanks)
     l2p.directory = true;
     Cache l2(ctx, l2p, &amap);
     l2.setMemSide(&dram);
-    l2.enableBankPartition();
-    ASSERT_TRUE(l2.bankPartitioned());
 
     CacheParams l1p;
     l1p.name = "l1a";
@@ -692,7 +664,7 @@ TEST(BankedCoherenceTest, DirectoryTracksSharersAcrossBanks)
     // One block per bank: block number b has bank b % 8.
     for (unsigned b = 0; b < 8; ++b) {
         const Addr x = Addr(0x8000) + Addr(b) * 64;
-        ASSERT_EQ(l2.bankOf(x), b);
+        ASSERT_EQ(blockNumber(x) % l2p.banks, b);
         access(l1a, x, false, 0);
         access(l1b, x, false, 1);
         const CacheBlk *blk = l2.peekBlock(x);

@@ -6,11 +6,9 @@
  * detector fires on sequential-set demand streams, prefetch fills
  * are counted apart from demand fills (fill-latency stats stay
  * demand-only), speculative fetches never take the last MSHR and
- * are charged against the owning tenant's QoS entitlements, the
+ * are charged against the owning tenant's QoS entitlements, and the
  * victim buffer retains evicted-but-hot lines without a round trip
- * through the L2, and the whole machinery holds the sharded-timing
- * determinism contract (bit-identical stats across shards x bank
- * domains x lanes x overlap).
+ * through the L2.
  */
 
 #include <gtest/gtest.h>
@@ -373,18 +371,14 @@ TEST_F(PrefetchQosTest, PrefetchChargesTheTenantsMshrQuota)
 }
 
 // ---------------------------------------------------------------------
-// System level: knob plumbing and the determinism contract.
+// System level: knob plumbing and the depth-0 identity.
 // ---------------------------------------------------------------------
 
 namespace {
 
 /** The fig9 "mixed" virtualized side with the prefetcher engaged. */
 SystemConfig
-prefetchSystemConfig(unsigned depth, unsigned victims,
-                     unsigned shards = 1, Cycles quantum = 0,
-                     unsigned bank_domains = 0,
-                     unsigned dram_lanes = 0,
-                     unsigned drain_overlap = 0)
+prefetchSystemConfig(unsigned depth, unsigned victims)
 {
     Fig9Options opt;
     opt.batches = 1;
@@ -397,11 +391,6 @@ prefetchSystemConfig(unsigned depth, unsigned victims,
         fig9Config(mix, opt, BtbMode::Virtualized);
     cfg.pvPrefetch = depth;
     cfg.victimEntries = victims;
-    cfg.timingShards = shards;
-    cfg.syncQuantum = quantum;
-    cfg.l2BankDomains = bank_domains;
-    cfg.dramLanes = dram_lanes;
-    cfg.drainOverlap = drain_overlap;
     return cfg;
 }
 
@@ -459,34 +448,4 @@ TEST(PrefetchSystem, Depth0MatchesTheDefaultMachineExactly)
     EXPECT_EQ(a.stats, b.stats);
     EXPECT_EQ(b.prefetchFills, 0u);
     EXPECT_EQ(b.victimHits, 0u);
-}
-
-TEST(PrefetchSystem, DeterministicAcrossShardAndBankGrid)
-{
-    // The PR 6-9 contract with speculation live: every (shards,
-    // bank-domains, lanes, overlap) combination on the quantum path
-    // produces bit-identical stats and the same finish tick.
-    const uint64_t records = 3000;
-    SysRun serial =
-        runSystem(prefetchSystemConfig(3, 8, 1, 12, 1, 1, 1),
-                  records);
-    ASSERT_GT(serial.prefetchFills + serial.victimHits, 0u)
-        << "the grid must exercise live speculation";
-
-    struct Combo {
-        unsigned shards, banks, lanes, overlap;
-    };
-    for (const Combo &c : {Combo{2, 1, 1, 1}, Combo{2, 4, 0, 2},
-                           Combo{4, 4, 0, 2}}) {
-        SysRun run = runSystem(
-            prefetchSystemConfig(3, 8, c.shards, 12, c.banks,
-                                 c.lanes, c.overlap),
-            records);
-        EXPECT_EQ(run.finish, serial.finish)
-            << c.shards << " shards x " << c.banks
-            << " domains changed the finish tick";
-        EXPECT_EQ(run.stats, serial.stats)
-            << c.shards << " shards x " << c.banks
-            << " domains changed aggregate statistics";
-    }
 }

@@ -181,7 +181,6 @@ TEST(ScenarioRunTest, ParsedConfigMatchesProgrammaticTiming)
                           s.measureRecords);
     EXPECT_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-    EXPECT_EQ(a.timingShards, b.timingShards);
 }
 
 // ---- Validation -------------------------------------------------------
@@ -226,6 +225,27 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
         " \"qos\": {\"cores\": 8}}"));
 }
 
+TEST(ScenarioValidateTest, RejectsAVirtEngineSetWiderThanALine)
+{
+    // The committed heterogeneous-tenant machine with its AGT
+    // aggressor at 8 ways: 8 x 70-bit entries need 560 bits of a
+    // 512-bit line, which used to pass validation and then panic
+    // in the codec when the run built the adapter.
+    Scenario s = loadScenarioFile(scenariosDir() +
+                                  "/timed-hetero-tenants.json");
+    ASSERT_EQ(s.system.virtEngines.size(), 2u);
+    ASSERT_EQ(s.system.virtEngines[1].kind, VirtEngineKind::Agt);
+    s.system.virtEngines[1].assoc = 8;
+    try {
+        validateScenario(s);
+        FAIL() << "an 8-way AGT set must not fit a line";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("system.virt_engines[1]"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
 {
     Scenario s;
@@ -240,6 +260,52 @@ TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
     EXPECT_EQ(scenarioCores(s), 9);
     s.kind = "qos_hetero";
     EXPECT_EQ(scenarioCores(s), 9);
+}
+
+// ---- Keys of the removed quantum-barrier timing path ---------------------
+
+namespace {
+
+/** Parsing `section` with `key` set must fail naming the key. */
+void
+expectKeyRefused(const std::string &section, const std::string &key)
+{
+    SCOPED_TRACE(section + "." + key);
+    const std::string doc = "{\"name\": \"x\", \"kind\": \"timed\", \"" +
+                            section + "\": {\"" + key + "\": 1}}";
+    try {
+        parseScenario(doc);
+        FAIL() << "retired key accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown key \"" + key),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+const char *const kRetiredTimingKeys[] = {
+    "timing_shards", "sync_quantum", "l2_bank_domains", "dram_lanes",
+    "drain_overlap",
+};
+
+} // namespace
+
+TEST(ScenarioRetiredKeyTest, SystemRefusesTheRetiredTimingKeys)
+{
+    for (const char *key : kRetiredTimingKeys)
+        expectKeyRefused("system", key);
+}
+
+TEST(ScenarioRetiredKeyTest, Fig9RefusesTheRetiredTimingKeys)
+{
+    for (const char *key : kRetiredTimingKeys)
+        expectKeyRefused("fig9", key);
+}
+
+TEST(ScenarioRetiredKeyTest, QosRefusesTheRetiredTimingKeys)
+{
+    for (const char *key : kRetiredTimingKeys)
+        expectKeyRefused("qos", key);
 }
 
 TEST(ScenarioValidateTest, JobsBookkeepingHonorsPresetDefaults)

@@ -186,6 +186,22 @@ TEST(SystemTiming, VirtualizedRunsAndDrains)
     EXPECT_GT(t.l2RequestsPv, 0u);
 }
 
+TEST(SystemTiming, ManyCoreRunCompletes)
+{
+    // 40 cores attach 80 L1s to the L2 directory: past the old
+    // 32-slot sharer mask and past one 64-bit word of SharerSet.
+    SystemConfig cfg;
+    cfg.mode = SimMode::Timing;
+    cfg.numCores = 40;
+    cfg.workloadMix = {"apache", "qry2", "db2", "zeus"};
+    System sys(cfg);
+    Tick finish = sys.runTiming(300);
+    EXPECT_GT(finish, 0u);
+    EXPECT_GT(sys.totalInstructions(), 40u * 300u);
+    EXPECT_TRUE(sys.quiesced());
+    EXPECT_TRUE(sys.ctx().events().empty());
+}
+
 TEST(SystemLifecycle, NoPacketLeaksAcrossSystemLifetimes)
 {
     int64_t before = Packet::liveCount();

@@ -36,31 +36,6 @@ What is gated, and why these tolerances:
   the matched-seed IPC delta must not fall below
   --prefetch-ipc-tol-pp percent — locality prefetch is allowed to
   be IPC-neutral, never an IPC tax.
-* fig9 many_core section: the serial / sharded-only / sharded+banked
-  / overlapped stats dumps must be bit-identical (the
-  parallel-timing determinism contract, now across bank domains,
-  DRAM lanes, and drain overlap too), all IPCs within
-  --ipc-rel-tol of the committed baseline, events/sec above
-  --events-floor, and — only when the producing host had >= 4 cores
-  and actually ran >= 2 shards — the sharded run must be at least
-  --speedup-floor times faster than the serial reference. On hosts
-  with >= 8 cores that actually ran >= 2 bank domains, the
-  sharded+banked run must additionally reach the committed
-  baseline's sharded-only events/sec (the PR 6 floor): bank domains
-  must never make the sharded path slower where they can help. On
-  the same hosts the overlapped run (in-phase DRAM lanes +
-  prologue-fanned drains) must (a) keep its measured serial
-  fraction within --serial-frac-tol-pp points of the committed
-  overlapped baseline — the serial fraction this PR shrank must
-  never silently creep back — (b) land strictly below the committed
-  banked (legacy-barrier) baseline's serial fraction, and (c) reach
-  the committed banked baseline's events/sec (the PR 7 floor).
-  Every many_core_scale row (128/256 cores) must be bit-identical
-  between its sharded-only and banked runs. The per-phase
-  wall-clock breakdown (cluster vs shared-domain = measured serial
-  fraction) is printed for every side, with the delta against the
-  committed baseline, as part of the summary.
-
 * scenarios (--pvsim + --scenarios): the committed scenario corpus
   must pass `pvsim validate` (strict parse, unknown-key rejection,
   round-trip stability) and every file's fingerprint must match the
@@ -126,8 +101,6 @@ def check_fig9(gate, current, baseline, tol_pp, hit_tol_pp, ipc_rel):
         if cur is None:
             continue
         label = f"fig9 {key[0]}@{key[1]}"
-        if "cluster_phase_seconds" in cur:
-            print(f"{label}: {phase_summary(cur)}")
         gate.close(
             cur["speedup_pct"] - base["speedup_pct"],
             tol_pp,
@@ -198,181 +171,6 @@ def check_fig9_prefetch(gate, current, ipc_tol_pp):
     )
 
 
-def serial_fraction(run):
-    """Measured serial fraction of a many-core run (0..1)."""
-    frac = run.get("serial_fraction")
-    if frac is None:
-        cluster = run.get("cluster_phase_seconds", 0.0)
-        shared = run.get("shared_phase_seconds", 0.0)
-        total = cluster + shared
-        frac = shared / total if total > 0 else 0.0
-    return frac
-
-
-def phase_summary(run, base=None):
-    """One-line cluster/shared phase split for a many-core run,
-    with the serial-fraction delta against a baseline run when one
-    is available."""
-    cluster = run.get("cluster_phase_seconds", 0.0)
-    shared = run.get("shared_phase_seconds", 0.0)
-    frac = serial_fraction(run)
-    line = (
-        f"cluster {cluster:.3f}s + shared {shared:.3f}s "
-        f"(serial fraction {100.0 * frac:.1f}%"
-    )
-    if base:
-        delta = 100.0 * (frac - serial_fraction(base))
-        line += f", {delta:+.1f}pp vs baseline"
-    return line + ")"
-
-
-def check_many_core(
-    gate, current, baseline, ipc_rel, events_floor, speedup_floor,
-    serial_frac_tol_pp,
-):
-    mc = current.get("many_core")
-    gate.check(
-        isinstance(mc, dict),
-        "fig9: many_core section missing from artifact",
-    )
-    if not isinstance(mc, dict):
-        return
-    gate.check(
-        mc.get("bit_identical") is True,
-        "fig9 many_core: serial / sharded / banked / overlapped "
-        "runs diverged — parallel-timing determinism broken",
-    )
-    base = baseline.get("many_core", {})
-    for side in ("serial", "sharded", "banked", "overlapped"):
-        run = mc.get(side)
-        gate.check(
-            isinstance(run, dict),
-            f"fig9 many_core: '{side}' run missing from artifact",
-        )
-        if not isinstance(run, dict):
-            continue
-        print(
-            f"many_core {side}: "
-            f"{phase_summary(run, base.get(side))}"
-        )
-        b = base.get(side, {}).get("ipc", 0)
-        if b > 0:
-            gate.close(
-                run.get("ipc", 0) / b - 1.0, ipc_rel,
-                f"fig9 many_core {side} ipc (relative)",
-            )
-        gate.check(
-            run.get("events_per_sec", 0) >= events_floor,
-            f"fig9 many_core {side}: events/sec "
-            f"{run.get('events_per_sec', 0):.0f} below floor "
-            f"{events_floor:.0f}",
-        )
-    # The perf promises only bind where they can physically hold:
-    # enough host cores to run the shards / bank workers, and a run
-    # that actually sharded (resp. banked).
-    host_cores = mc.get("host_cores", 1)
-    shards = mc.get("sharded", {}).get("shards", 1)
-    if host_cores >= 4 and shards >= 2:
-        gate.check(
-            mc.get("speedup", 0) >= speedup_floor,
-            f"fig9 many_core: speedup {mc.get('speedup', 0):.2f}x "
-            f"below floor {speedup_floor}x on a {host_cores}-core "
-            f"host with {shards} shards",
-        )
-    else:
-        print(
-            f"note: many_core speedup not gated "
-            f"(host_cores={host_cores}, shards={shards})"
-        )
-    # Bank domains must not cost throughput where they can help: on
-    # a >= 8-core host the sharded+banked run has to reach the
-    # committed baseline's sharded-only events/sec (the PR 6 floor).
-    banks = mc.get("banked", {}).get("bank_domains", 1)
-    if host_cores >= 8 and shards >= 2 and banks >= 2:
-        floor = base.get("sharded", {}).get("events_per_sec", 0)
-        got = mc.get("banked", {}).get("events_per_sec", 0)
-        gate.check(
-            got >= floor,
-            f"fig9 many_core: sharded+banked events/sec {got:.0f} "
-            f"below the baseline sharded-only floor {floor:.0f} on "
-            f"a {host_cores}-core host ({banks} bank domains)",
-        )
-    else:
-        print(
-            f"note: many_core banked-vs-sharded floor not gated "
-            f"(host_cores={host_cores}, shards={shards}, "
-            f"bank_domains={banks})"
-        )
-    # The overlapped barrier's promises, again only where the bank
-    # workers can physically run concurrently (>= 8 host cores):
-    # its serial fraction must not creep back above its own
-    # committed baseline, must stay strictly below the committed
-    # legacy-barrier (banked) serial fraction, and the run must
-    # reach the committed banked events/sec.
-    overlap = mc.get("overlapped", {})
-    lanes = overlap.get("dram_lanes", 1)
-    if host_cores >= 8 and shards >= 2 and banks >= 2 and lanes >= 2:
-        frac = serial_fraction(overlap)
-        base_overlap = base.get("overlapped")
-        if base_overlap:
-            drift_pp = 100.0 * (
-                frac - serial_fraction(base_overlap)
-            )
-            gate.check(
-                drift_pp <= serial_frac_tol_pp,
-                f"fig9 many_core overlapped: serial fraction "
-                f"{100.0 * frac:.1f}% regressed {drift_pp:+.1f}pp "
-                f"over the committed baseline (tolerance "
-                f"{serial_frac_tol_pp}pp) on a {host_cores}-core "
-                f"host",
-            )
-        base_banked = base.get("banked")
-        if base_banked:
-            legacy_frac = serial_fraction(base_banked)
-            gate.check(
-                frac < legacy_frac,
-                f"fig9 many_core overlapped: serial fraction "
-                f"{100.0 * frac:.1f}% not below the committed "
-                f"legacy-barrier baseline "
-                f"{100.0 * legacy_frac:.1f}% on a "
-                f"{host_cores}-core host",
-            )
-            floor = base_banked.get("events_per_sec", 0)
-            got = overlap.get("events_per_sec", 0)
-            gate.check(
-                got >= floor,
-                f"fig9 many_core overlapped: events/sec "
-                f"{got:.0f} below the baseline banked floor "
-                f"{floor:.0f} on a {host_cores}-core host",
-            )
-    else:
-        print(
-            f"note: many_core overlapped gates not active "
-            f"(host_cores={host_cores}, shards={shards}, "
-            f"bank_domains={banks}, dram_lanes={lanes})"
-        )
-    # Scale ladder: each rung's sharded-vs-banked pair must agree
-    # bit for bit, whatever the host.
-    base_scale = {
-        row.get("cores"): row
-        for row in baseline.get("many_core_scale", [])
-    }
-    for row in current.get("many_core_scale", []):
-        cores = row.get("cores", 0)
-        gate.check(
-            row.get("bit_identical") is True,
-            f"fig9 many_core_scale {cores} cores: banked run "
-            f"diverged from the sharded reference",
-        )
-        for side in ("sharded", "banked"):
-            run = row.get(side, {})
-            base_run = base_scale.get(cores, {}).get(side)
-            print(
-                f"many_core_scale {cores} {side}: "
-                f"{phase_summary(run, base_run)}"
-            )
-
-
 def check_stepping(gate, current):
     pair = current.get("harness_matched_pair", {})
     gate.check(
@@ -418,8 +216,6 @@ def check_qos(gate, current, baseline, hit_tol_pp):
         gate.check(
             cur["ipc"] > 0, f"qos {label}: zero IPC"
         )
-        if "cluster_phase_seconds" in cur:
-            print(f"qos {label}: {phase_summary(cur)}")
         for field in ("avail_redirect_pct", "avail_improvement_pct"):
             gate.close(
                 cur[field] - base[field], hit_tol_pp,
@@ -447,7 +243,6 @@ def check_qos(gate, current, baseline, hit_tol_pp):
                 run.get("ipc", 0) > 0,
                 f"qos heterogeneous {side}: zero IPC",
             )
-            print(f"qos heterogeneous {side}: {phase_summary(run)}")
         for c in clusters:
             gate.check(
                 c.get("btb_hit_pct", 0) > 0,
@@ -533,23 +328,9 @@ def main():
         help="relative tolerance on per-row IPC values",
     )
     ap.add_argument(
-        "--events-floor", type=float, default=500_000.0,
-        help="minimum many-core events/sec (either side)",
-    )
-    ap.add_argument(
-        "--speedup-floor", type=float, default=2.0,
-        help="minimum sharded speedup on capable (>=4 core) hosts",
-    )
-    ap.add_argument(
         "--prefetch-ipc-tol-pp", type=float, default=3.0,
         help="max matched-seed IPC loss of the prefetch-on side "
         "over prefetch-off (percent)",
-    )
-    ap.add_argument(
-        "--serial-frac-tol-pp", type=float, default=3.0,
-        help="max serial-fraction regression of the overlapped "
-        "many-core run over its baseline (percentage points, "
-        ">=8-core hosts only)",
     )
     args = ap.parse_args()
 
@@ -562,11 +343,6 @@ def main():
             args.fig9_tol_pp, args.hit_tol_pp, args.ipc_rel_tol,
         )
         check_fig9_prefetch(gate, fig9_cur, args.prefetch_ipc_tol_pp)
-        check_many_core(
-            gate, fig9_cur, fig9_base,
-            args.ipc_rel_tol, args.events_floor, args.speedup_floor,
-            args.serial_frac_tol_pp,
-        )
     if args.stepping:
         check_stepping(gate, load(args.stepping))
     if args.pvsim and args.scenarios:

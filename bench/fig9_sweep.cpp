@@ -14,19 +14,18 @@
  * Emits a BENCH_fig9.json summary (stdout table + file) so
  * successive PRs can compare trajectories.
  *
- * The prefetch section runs the PVCache locality-prefetch off-vs-on
- * matched pair (fig9PrefetchCompare): the virtualized side of the
- * "mixed" preset with identical seeds, prefetch disabled vs
- * --pv-prefetch/--victim-entries (defaulting to depth 2 / 8 victim
- * entries when left 0), reporting the availability-redirect
- * reduction the speculative fills buy. check_bench.py gates the
- * emitted "prefetch" object: on must land strictly below off.
+ * The victim section runs the PVCache victim-buffer off-vs-on
+ * matched pair (fig9VictimCompare): the virtualized side of the
+ * "mixed" preset with identical seeds, no victim buffer vs
+ * --victim-entries (defaulting to 8 entries when left 0), reporting
+ * the availability-redirect reduction the retained lines buy.
+ * check_bench.py gates the emitted "victim" object: on must land
+ * strictly below off.
  *
  *   fig9_sweep [--penalty N] [--btb-sets N] [--batches N]
  *              [--warmup-records N] [--measure-records N]
  *              [--cores N] [--edge-stability default,0.8,...]
- *              [--pv-prefetch N] [--victim-entries N]
- *              [--skip-prefetch]
+ *              [--victim-entries N]
  *              [--json-out FILE] [--csv] [--smoke]
  */
 
@@ -83,12 +82,9 @@ main(int argc, char **argv)
             args.getUint("warmup-records", smoke ? 1'000 : 20'000);
         opt.measureRecords =
             args.getUint("measure-records", smoke ? 3'000 : 60'000);
-        opt.pvPrefetch = unsigned(
-            args.getUint("pv-prefetch", opt.pvPrefetch));
         opt.victimEntries = unsigned(
             args.getUint("victim-entries", opt.victimEntries));
     }
-    const bool skip_prefetch = args.getBool("skip-prefetch", false);
     const std::string json_out =
         args.getString("json-out", "BENCH_fig9.json");
 
@@ -124,6 +120,7 @@ main(int argc, char **argv)
             opt.edgeStabilities.push_back(v);
         }
     }
+    args.rejectUnknown();
 
     // fig9Sweep shards every (stability, mix, side, batch) System
     // as one job (bookkeeping shared with the scenario runner).
@@ -160,29 +157,22 @@ main(int argc, char **argv)
     else
         t.print(std::cout);
 
-    // ---- PVCache locality prefetch: off-vs-on matched pair --------
-    Fig9PrefetchResult pf;
-    if (!skip_prefetch) {
-        pf = fig9PrefetchCompare(opt);
-        std::cout << "\nPVCache locality prefetch (" << pf.mix
-                  << ", virtualized BTB, depth=" << pf.depth
-                  << ", victim_entries=" << pf.victimEntries
-                  << "):\n"
-                  << "  off: IPC " << fmtDouble(pf.off.ipc, 4)
-                  << ", avail-redir "
-                  << fmtDouble(pf.off.availRedirectPct, 2) << "%\n"
-                  << "  on : IPC " << fmtDouble(pf.on.ipc, 4)
-                  << ", avail-redir "
-                  << fmtDouble(pf.on.availRedirectPct, 2)
-                  << "%, fills " << pf.on.prefetchFills
-                  << ", useful " << pf.on.prefetchUseful
-                  << ", drops " << pf.on.prefetchDrops
-                  << ", victim hits " << pf.on.victimHits << "\n"
-                  << "  protection "
-                  << fmtDouble(pf.availImprovementPct, 1)
-                  << "% relative, IPC delta "
-                  << fmtDouble(pf.ipcDeltaPct, 2) << "%\n";
-    }
+    // ---- PVCache victim buffer: off-vs-on matched pair ------------
+    const Fig9VictimResult vr = fig9VictimCompare(opt);
+    std::cout << "\nPVCache victim retention (" << vr.mix
+              << ", virtualized BTB, victim_entries="
+              << vr.victimEntries << "):\n"
+              << "  off: IPC " << fmtDouble(vr.off.ipc, 4)
+              << ", avail-redir "
+              << fmtDouble(vr.off.availRedirectPct, 2) << "%\n"
+              << "  on : IPC " << fmtDouble(vr.on.ipc, 4)
+              << ", avail-redir "
+              << fmtDouble(vr.on.availRedirectPct, 2)
+              << "%, victim hits " << vr.on.victimHits << "\n"
+              << "  protection "
+              << fmtDouble(vr.availImprovementPct, 1)
+              << "% relative, IPC delta "
+              << fmtDouble(vr.ipcDeltaPct, 2) << "%\n";
 
     std::ostringstream js;
     js << "{\n  \"bench\": \"fig9_sweep\",\n"
@@ -195,38 +185,26 @@ main(int argc, char **argv)
        << "  \"measure_records\": " << opt.measureRecords << ",\n"
        << "  \"jobs_requested\": " << jobs_requested << ",\n"
        << "  \"jobs_effective\": " << jobs_effective << ",\n"
-       << "  \"pv_prefetch\": " << opt.pvPrefetch << ",\n"
        << "  \"victim_entries\": " << opt.victimEntries << ",\n"
        << "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i)
         js << "    " << fig9RowJson(rows[i], jobs_effective)
            << (i + 1 < rows.size() ? "," : "") << "\n";
-    js << "  ]";
-    if (!skip_prefetch) {
-        auto side = [&js](const char *name,
-                          const Fig9PrefetchSide &s) {
-            js << "    \"" << name << "\": {\"ipc\": " << s.ipc
-               << ", \"avail_redirect_pct\": " << s.availRedirectPct
-               << ", \"prefetch_fills\": " << s.prefetchFills
-               << ", \"prefetch_useful\": " << s.prefetchUseful
-               << ", \"prefetch_drops\": " << s.prefetchDrops
-               << ", \"victim_hits\": " << s.victimHits
-               << ", \"wall_seconds\": " << s.wallSeconds << "}";
-        };
-        js << ",\n  \"prefetch\": {\n"
-           << "    \"mix\": \"" << pf.mix << "\",\n"
-           << "    \"depth\": " << pf.depth << ",\n"
-           << "    \"victim_entries\": " << pf.victimEntries
-           << ",\n";
-        side("off", pf.off);
-        js << ",\n";
-        side("on", pf.on);
-        js << ",\n    \"avail_improvement_pct\": "
-           << pf.availImprovementPct
-           << ",\n    \"ipc_delta_pct\": " << pf.ipcDeltaPct
-           << "\n  }";
-    }
-    js << "\n}\n";
+    auto side = [&js](const char *name, const Fig9VictimSide &s) {
+        js << "    \"" << name << "\": {\"ipc\": " << s.ipc
+           << ", \"avail_redirect_pct\": " << s.availRedirectPct
+           << ", \"victim_hits\": " << s.victimHits
+           << ", \"wall_seconds\": " << s.wallSeconds << "}";
+    };
+    js << "  ],\n  \"victim\": {\n"
+       << "    \"mix\": \"" << vr.mix << "\",\n"
+       << "    \"victim_entries\": " << vr.victimEntries << ",\n";
+    side("off", vr.off);
+    js << ",\n";
+    side("on", vr.on);
+    js << ",\n    \"avail_improvement_pct\": " << vr.availImprovementPct
+       << ",\n    \"ipc_delta_pct\": " << vr.ipcDeltaPct
+       << "\n  }\n}\n";
 
     std::cout << "\n" << js.str();
     std::ofstream out(json_out);
@@ -262,22 +240,17 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    // The prefetch pair must have run for real: both sides with a
-    // live IPC, and the on side actually exercising the detector —
-    // the gate on the redirect reduction itself lives in
-    // check_bench.py where its tolerance is configurable.
-    if (!skip_prefetch) {
-        if (pf.off.ipc <= 0.0 || pf.on.ipc <= 0.0) {
-            std::cerr << "FAIL: prefetch comparison produced a "
-                         "zero IPC\n";
-            return 1;
-        }
-        if (pf.on.prefetchFills == 0) {
-            std::cerr << "FAIL: prefetch-on run issued no "
-                         "speculative fills — the stride detector "
-                         "never fired\n";
-            return 1;
-        }
+    // The victim pair must have run for real: both sides with a
+    // live IPC, and the on side actually retaining lines — the gate
+    // on the redirect reduction itself lives in check_bench.py where
+    // its tolerance is configurable.
+    if (vr.off.ipc <= 0.0 || vr.on.ipc <= 0.0) {
+        std::cerr << "FAIL: victim comparison produced a zero IPC\n";
+        return 1;
+    }
+    if (vr.on.victimHits == 0) {
+        std::cerr << "FAIL: victim-on run recorded no victim hits\n";
+        return 1;
     }
     return 0;
 }

@@ -24,8 +24,8 @@
  * successive PRs can compare trajectories.
  *
  *   qos_contention [--penalty N] [--btb-sets N] [--agt-sets N]
- *                  [--pvcache N] [--pv-prefetch N]
- *                  [--victim-entries N] [--batches N] [--cores N]
+ *                  [--pvcache N] [--victim-entries N]
+ *                  [--batches N] [--cores N]
  *                  [--warmup-records N] [--measure-records N]
  *                  [--hetero-cores N] [--hetero-batches N]
  *                  [--hetero-warmup N] [--hetero-measure N]
@@ -84,8 +84,6 @@ main(int argc, char **argv)
             unsigned(args.getUint("agt-sets", opt.agtSets));
         opt.pvCacheEntries =
             unsigned(args.getUint("pvcache", opt.pvCacheEntries));
-        opt.pvPrefetch = unsigned(
-            args.getUint("pv-prefetch", opt.pvPrefetch));
         opt.victimEntries = unsigned(
             args.getUint("victim-entries", opt.victimEntries));
         opt.numCores = int(args.getUint("cores", opt.numCores));
@@ -113,6 +111,7 @@ main(int argc, char **argv)
         args.getUint("hetero-warmup", smoke ? 500 : 8'000);
     hopt.measureRecords =
         args.getUint("hetero-measure", smoke ? 1'500 : 24'000);
+    args.rejectUnknown();
 
     // qosSweep runs every (setting, batch) System as one job
     // (bookkeeping shared with the scenario runner).

@@ -234,7 +234,6 @@ reflectFields(SystemConfig &c, V &v)
     v.field("pht_geometry", c.phtGeometry);
     v.field("pht_qos", c.phtQos);
     v.field("pv_cache_entries", c.pvCacheEntries);
-    v.field("pv_prefetch", c.pvPrefetch);
     v.field("victim_entries", c.victimEntries);
     v.field("drop_pv_writebacks", c.dropPvWritebacks);
     v.field("shared_pv_table", c.sharedPvTable);
@@ -262,7 +261,6 @@ reflectFields(Fig9Options &c, V &v)
     v.field("batches", c.batches);
     v.field("mixes", c.mixes);
     v.field("edge_stabilities", c.edgeStabilities);
-    v.field("pv_prefetch", c.pvPrefetch);
     v.field("victim_entries", c.victimEntries);
 }
 
@@ -317,7 +315,6 @@ reflectFields(QosOptions &c, V &v)
     // spelling; the alias keeps committed scenarios parsing.
     v.alias("pvcache_entries", c.pvCacheEntries);
     v.field("pv_cache_entries", c.pvCacheEntries);
-    v.field("pv_prefetch", c.pvPrefetch);
     v.field("victim_entries", c.victimEntries);
     v.field("warmup_records", c.warmupRecords);
     v.field("measure_records", c.measureRecords);

@@ -28,12 +28,6 @@ PvProxy::EngineStats::EngineStats(stats::Group *parent,
                        "between fetch issue and PVCache install"),
       pvCachePeak(this, "pvcache_peak",
                   "most PVCache entries held at once"),
-      prefetchFills(this, "prefetch_fills",
-                    "speculative sets installed for this engine"),
-      prefetchUseful(this, "prefetch_useful",
-                     "prefetched lines later hit by a demand op"),
-      prefetchDrops(this, "prefetch_drops",
-                    "prefetches dropped by headroom/entitlement"),
       victimHits(this, "victim_hits",
                  "demand misses served from the victim buffer")
 {
@@ -60,12 +54,6 @@ PvProxy::PvProxy(SimContext &ctx, const PvProxyParams &params,
                   "clean lines discarded on eviction"),
       evictOverflows(this, "evict_overflows",
                      "evictions exceeding the evict buffer"),
-      prefetchFills(this, "prefetch_fills",
-                    "speculative sets installed in the PVCache"),
-      prefetchUseful(this, "prefetch_useful",
-                     "prefetched lines later hit by a demand op"),
-      prefetchDrops(this, "prefetch_drops",
-                    "prefetches dropped by headroom/entitlement"),
       victimHits(this, "victim_hits",
                  "demand misses served from the victim buffer"),
       params_(params), region_(region_start, region_bytes)
@@ -96,7 +84,7 @@ PvProxy::registerEngine(const PvEngineInfo &info)
     }
     unsigned table = numEngines();
     Engine e{info, region_.allocate(info.numSets),
-             std::make_unique<EngineStats>(this, info.name), {}};
+             std::make_unique<EngineStats>(this, info.name)};
     engines_.push_back(std::move(e));
     qos_.addTenant(info.qos);
     cacheOcc_.push_back(0);
@@ -124,7 +112,6 @@ PvProxy::evictEntry(CacheEntry &e, bool retain)
         // retained copy keeps the line's dirty state.
         e.valid = false;
         e.dirty = false;
-        e.prefetched = false;
         pv_assert(cacheOcc_[e.table] > 0, "PVCache occupancy underflow");
         --cacheOcc_[e.table];
         return;
@@ -147,7 +134,6 @@ PvProxy::evictEntry(CacheEntry &e, bool retain)
     }
     e.valid = false;
     e.dirty = false;
-    e.prefetched = false;
     pv_assert(cacheOcc_[e.table] > 0, "PVCache occupancy underflow");
     --cacheOcc_[e.table];
 }
@@ -207,7 +193,6 @@ PvProxy::retainVictim(const CacheEntry &e)
         flushVictimSlot(*slot);
     *slot = e;
     slot->valid = true;
-    slot->prefetched = false;
     ++victimOcc_[e.table];
     return true;
 }
@@ -329,7 +314,6 @@ PvProxy::allocateEntry(unsigned line, unsigned table)
     victim->line = line;
     victim->table = table;
     victim->dirty = false;
-    victim->prefetched = false;
     victim->lastTouch = ++touchCounter_;
     victim->bytes.fill(0);
     victim->ages.fill(0xff); // everything "old" until touched
@@ -443,9 +427,6 @@ PvProxy::access(PvRequest req)
         pv_assert(req.op != nullptr, "Demand PvRequest needs an op");
         accessDemand(req.table, req.set, std::move(req.op));
         return;
-      case PvReqClass::Prefetch:
-        issuePrefetch(req.table, req.set);
-        return;
       case PvReqClass::Writeback:
         writebackSet(req.table, req.set, req.op);
         return;
@@ -460,14 +441,7 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
     if (CacheEntry *e = findEntry(line)) {
         ++pvCacheHits;
         ++eng.stats->hits;
-        if (e->prefetched) {
-            // First demand reference to a speculative fill.
-            e->prefetched = false;
-            ++prefetchUseful;
-            ++eng.stats->prefetchUseful;
-        }
         applyOp(*e, op);
-        maybePrefetch(table, set);
         return;
     }
     ++pvCacheMisses;
@@ -482,10 +456,8 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
         return;
     }
 
-    if (!victims_.empty() && reinstallVictim(line, table, op)) {
-        maybePrefetch(table, set);
+    if (!victims_.empty() && reinstallVictim(line, table, op))
         return;
-    }
 
     if (!isTiming()) {
         // Functional mode: fetch synchronously through the
@@ -502,113 +474,10 @@ PvProxy::accessDemand(unsigned table, unsigned set, SetOp op)
         ++fills;
         ++eng.stats->fills;
         applyOp(e, op);
-        maybePrefetch(table, set);
         return;
     }
 
     fetchLine(line, table, std::move(op));
-    // Speculate only after the demand fetch has claimed its MSHR:
-    // prefetches see post-demand occupancy by construction.
-    maybePrefetch(table, set);
-}
-
-void
-PvProxy::maybePrefetch(unsigned table, unsigned set)
-{
-    if (params_.prefetchDepth == 0)
-        return;
-    StrideState &st = engines_[table].stride;
-    if (!st.seen) {
-        st.seen = true;
-        st.lastSet = set;
-        return;
-    }
-    int stride = int(set) - int(st.lastSet);
-    if (stride == 0) {
-        // Same-set pairs (a find followed by its mutate) carry no
-        // direction; keep the detector state for the next hop.
-        return;
-    }
-    // Two flavors of sequential walk: an exact stride repeat
-    // (regular table scan), or two short forward hops — real code
-    // advances through variable-length basic blocks, so consecutive
-    // set deltas are rarely equal even on a straight-line walk.
-    const bool stable = stride == st.lastStride;
-    const bool sequential =
-        stride > 0 && stride <= kSequentialWindow &&
-        st.lastStride > 0 && st.lastStride <= kSequentialWindow;
-    st.lastStride = stride;
-    st.lastSet = set;
-    if (!stable && !sequential)
-        return;
-    const long num_sets = long(engines_[table].layout.numSets());
-    for (unsigned k = 1; k <= params_.prefetchDepth; ++k) {
-        long next = stable ? long(set) + long(stride) * long(k)
-                           : long(set) + long(k);
-        if (next < 0 || next >= num_sets)
-            break;
-        issuePrefetch(table, unsigned(next));
-    }
-}
-
-void
-PvProxy::issuePrefetch(unsigned table, unsigned set)
-{
-    Engine &eng = engines_[table];
-    unsigned line = region_.lineOf(eng.layout.setAddress(set));
-    if (findEntry(line))
-        return;
-    for (const auto &s : victims_) {
-        if (s.valid && s.line == line)
-            return;
-    }
-    for (const auto &f : inFlight_) {
-        if (f.line == line)
-            return;
-    }
-    if (shareLimit(table, PvQosArbiter::PvCache) == 0) {
-        ++prefetchDrops;
-        ++eng.stats->prefetchDrops;
-        return;
-    }
-    if (!isTiming()) {
-        pv_assert(memSide_ != nullptr, "PVProxy has no memory side");
-        ++memRequests;
-        Packet pkt(MemCmd::ReadReq, lineAddress(line), kInvalidCore);
-        pkt.isPv = true;
-        pkt.isPrefetch = true;
-        pkt.coherent = false;
-        memSide_->functionalAccess(pkt);
-        CacheEntry &e = allocateEntry(line, table);
-        if (pkt.hasData())
-            e.bytes = *pkt.data;
-        e.prefetched = true;
-        ++prefetchFills;
-        ++eng.stats->prefetchFills;
-        return;
-    }
-    // Low-priority by construction: a speculative fetch never takes
-    // the last free MSHR, and it is charged against the owning
-    // tenant's MSHR entitlement — a zero-entitlement tenant's
-    // prefetches drop first, and demand traffic always keeps
-    // headroom.
-    if (inFlight_.size() + 1 >= params_.mshrs ||
-        inFlightCount(table) >=
-            shareLimit(table, PvQosArbiter::Mshrs)) {
-        ++prefetchDrops;
-        ++eng.stats->prefetchDrops;
-        return;
-    }
-    inFlight_.push_back(InFlight{line, table, PvReqClass::Prefetch, {}});
-    ++memRequests;
-    auto *pkt = allocPacket(MemCmd::ReadReq, lineAddress(line),
-                            kInvalidCore);
-    pkt->isPv = true;
-    pkt->isPrefetch = true;
-    pkt->coherent = false;
-    pkt->src = this;
-    pkt->issueTick = curTick();
-    sendDown(pkt);
 }
 
 void
@@ -680,7 +549,7 @@ PvProxy::fetchLine(unsigned line, unsigned table, SetOp op)
         return;
     }
 
-    inFlight_.push_back(InFlight{line, table, PvReqClass::Demand, {}});
+    inFlight_.push_back(InFlight{line, table, {}});
     inFlight_.back().pendingOps.push_back(std::move(op));
 
     ++memRequests;
@@ -739,7 +608,6 @@ PvProxy::recvResponse(PacketPtr pkt)
               "PVProxy response for line %u with no MSHR", line);
 
     unsigned table = it->table;
-    PvReqClass cls = it->cls;
     std::vector<SetOp> ops;
     ops.swap(it->pendingOps);
     inFlight_.erase(it);
@@ -747,25 +615,9 @@ PvProxy::recvResponse(PacketPtr pkt)
     CacheEntry &e = allocateEntry(line, table);
     if (pkt->hasData())
         e.bytes = *pkt->data;
-    if (cls == PvReqClass::Prefetch) {
-        ++prefetchFills;
-        ++engineStats(table).prefetchFills;
-        // Demand-fill latency stays undiluted: speculative fills
-        // contribute no fill_latency_ticks.
-        if (ops.empty()) {
-            e.prefetched = true;
-        } else {
-            // A demand op coalesced onto the speculative fetch
-            // while it was in flight: timely prefetch.
-            ++prefetchUseful;
-            ++engineStats(table).prefetchUseful;
-        }
-    } else {
-        ++fills;
-        ++engineStats(table).fills;
-        engineStats(table).fillLatencyTicks +=
-            curTick() - pkt->issueTick;
-    }
+    ++fills;
+    ++engineStats(table).fills;
+    engineStats(table).fillLatencyTicks += curTick() - pkt->issueTick;
     freePacket(pkt);
 
     for (const SetOp &op : ops)

@@ -21,34 +21,18 @@
  * bandwidth-hungry one.
  *
  * Every entry point is one PvRequest descriptor: (table, set, class,
- * op), where the class is Demand, Prefetch or Writeback. Demand
- * requests are the engines' ordinary set operations; Prefetch
- * requests ask for a speculative fill of a set's line without an
- * operation attached; Writeback requests force a set's line out to
- * memory. On top of the demand stream the proxy runs the paper's
- * Section 4.3 locality optimizations when enabled:
- *
- *  - `prefetchDepth` > 0 arms a per-tenant sequential-set stride
- *    detector; a demand access extending a detected stride issues
- *    speculative fills for the next set(s). Prefetches are
- *    low-priority by construction: they never take the last free
- *    MSHR, are charged against the owning tenant's MSHR entitlement
- *    (a zero-entitlement tenant's prefetches drop first), and their
- *    PVCache occupancy is charged like any other line, so a tenant
- *    cannot launder capacity through speculation.
- *  - `victimEntries` > 0 adds a small victim buffer retaining
- *    evicted lines; a demand miss that hits the victim buffer
- *    reinstalls the line without memory traffic. Victim capacity is
- *    charged to the owning tenant's PVCache entitlement share.
- *
- * Both knobs default to 0, which is bit-identical to the
- * pre-prefetch proxy.
+ * op), where the class is Demand or Writeback. Demand requests are
+ * the engines' ordinary set operations; Writeback requests force a
+ * set's line out to memory. Setting `victimEntries` > 0 adds the
+ * paper's Section 4.3 locality optimization: a small victim buffer
+ * retaining evicted lines, so a demand miss that hits the victim
+ * buffer reinstalls the line without memory traffic. Victim capacity
+ * is charged to the owning tenant's PVCache entitlement share. The
+ * default of 0 disables retention.
  *
  * All PVProxy memory traffic is made of ordinary requests injected
  * at the L2 ("on the backside of the L1"); the hierarchy is
- * oblivious to what it is caching. Speculative fills are ReadReq
- * packets flagged isPrefetch, taking the exact same path as demand
- * fills.
+ * oblivious to what it is caching.
  */
 
 #ifndef PVSIM_CORE_PV_PROXY_HH
@@ -86,10 +70,6 @@ struct PvProxyParams {
      *  Used by the legacy single-tenant constructor; engines
      *  registered explicitly report their own codec's usedBits(). */
     unsigned usedBitsPerLine = 473;
-    /** Sets prefetched ahead on a detected sequential-set stride
-     *  (paper Section 4.3 locality prefetch). 0 disables the
-     *  detector entirely — bit-identical to the pre-prefetch proxy. */
-    unsigned prefetchDepth = 0;
     /** Victim-buffer entries retaining evicted lines (0 = none). */
     unsigned victimEntries = 0;
 };
@@ -133,16 +113,15 @@ using PvSetOp = std::function<void(PvLineView view)>;
 /** Request classes a PvRequest may carry. */
 enum class PvReqClass {
     Demand,    ///< ordinary engine operation (needs an op)
-    Prefetch,  ///< speculative fill of the set's line (no op)
     Writeback, ///< force the set's line out to memory
 };
 
 /**
  * The proxy's single entry descriptor: every engine-visible access
  * is one of these, flowing proxy -> QoS arbiter -> L2.
- * Demand requests require `op`; Prefetch requests ignore it;
- * Writeback requests run `op` (when present) on the line before
- * flushing it, or with a null view when the line is not resident.
+ * Demand requests require `op`; Writeback requests run `op` (when
+ * present) on the line before flushing it, or with a null view when
+ * the line is not resident.
  */
 struct PvRequest {
     unsigned table = 0;
@@ -207,9 +186,8 @@ class PvProxy : public SimObject, public MemClient
     /**
      * Perform one request (see PvRequest). Demand requests fetch
      * the set's line from the memory hierarchy on a PVCache miss;
-     * Prefetch requests issue a speculative fill subject to the
-     * MSHR-headroom and entitlement rules; Writeback requests flush
-     * the set's line (bypassing victim retention).
+     * Writeback requests flush the set's line (bypassing victim
+     * retention).
      */
     void access(PvRequest req);
 
@@ -265,20 +243,12 @@ class PvProxy : public SimObject, public MemClient
         stats::Scalar qosDrops;    ///< ... by the share policy
         stats::Scalar fills;       ///< demand sets fetched
         stats::Scalar writebacks;  ///< dirty lines written back
-        /** Sum of ticks each of this tenant's *demand* fills spent
-         *  between fetch issue and PVCache install (timing mode):
-         *  divide by `fills` for the tenant's mean demand-fill
-         *  latency. Speculative fills are counted separately in
-         *  prefetchFills so they cannot dilute this mean. */
+        /** Sum of ticks each of this tenant's fills spent between
+         *  fetch issue and PVCache install (timing mode): divide by
+         *  `fills` for the tenant's mean fill latency. */
         stats::Scalar fillLatencyTicks;
         /** High-watermark of PVCache entries held at once. */
         stats::Scalar pvCachePeak;
-        /** Speculative fills installed for this tenant. */
-        stats::Scalar prefetchFills;
-        /** Prefetched lines later referenced by a demand access. */
-        stats::Scalar prefetchUseful;
-        /** Prefetches dropped by headroom/entitlement rules. */
-        stats::Scalar prefetchDrops;
         /** Demand misses served from the victim buffer. */
         stats::Scalar victimHits;
     };
@@ -350,24 +320,13 @@ class PvProxy : public SimObject, public MemClient
     stats::Scalar writebacks;    ///< dirty lines sent to the L2
     stats::Scalar cleanEvicts;   ///< clean lines silently dropped
     stats::Scalar evictOverflows;
-    stats::Scalar prefetchFills;  ///< speculative fills installed
-    stats::Scalar prefetchUseful; ///< ... later used by demand
-    stats::Scalar prefetchDrops;  ///< prefetches dropped pre-issue
-    stats::Scalar victimHits;     ///< misses served by the victim buf
+    stats::Scalar victimHits;    ///< misses served by the victim buf
 
   private:
-    /** Per-tenant sequential-set stride detector state. */
-    struct StrideState {
-        bool seen = false;
-        unsigned lastSet = 0;
-        int lastStride = 0;
-    };
-
     struct Engine {
         PvEngineInfo info;
         PvTableLayout layout;
         std::unique_ptr<EngineStats> stats;
-        StrideState stride;
     };
 
     struct CacheEntry {
@@ -375,31 +334,20 @@ class PvProxy : public SimObject, public MemClient
         unsigned line = 0;  ///< global line index in the region
         unsigned table = 0; ///< owning tenant (stats attribution)
         bool dirty = false;
-        /** Installed speculatively and not yet demand-referenced. */
-        bool prefetched = false;
         uint64_t lastTouch = 0;
         std::array<uint8_t, kBlockBytes> bytes{};
         std::array<uint8_t, kPvMaxWays> ages{};
     };
 
-    /** One pending fetch, tagged with tenant and request class. */
+    /** One pending fetch, tagged with the owning tenant. */
     struct InFlight {
         unsigned line = 0;
         unsigned table = 0;
-        PvReqClass cls = PvReqClass::Demand;
         std::vector<SetOp> pendingOps;
     };
 
-    /** Strides this close count as one sequential walk even when
-     *  consecutive hops differ (block lengths vary in real code). */
-    static constexpr int kSequentialWindow = 8;
-
     void accessDemand(unsigned table, unsigned set, SetOp op);
     void writebackSet(unsigned table, unsigned set, const SetOp &op);
-    /** Stride detection + speculative issue after a demand access. */
-    void maybePrefetch(unsigned table, unsigned set);
-    /** One speculative fill, subject to headroom/entitlement. */
-    void issuePrefetch(unsigned table, unsigned set);
     CacheEntry *findEntry(unsigned line);
     CacheEntry &allocateEntry(unsigned line, unsigned table);
     CacheEntry *pickVictim(unsigned table);

@@ -291,7 +291,6 @@ fig9Config(const WorkloadMix &mix, const Fig9Options &opt,
     cfg.pvBytesPerCore =
         std::max<uint64_t>(cfg.pvBytesPerCore,
                            uint64_t(opt.btbSets) * kBlockBytes);
-    cfg.pvPrefetch = opt.pvPrefetch;
     cfg.victimEntries = opt.victimEntries;
     return cfg;
 }
@@ -374,13 +373,13 @@ fig9Sweep(const Fig9Options &opt)
     return rows;
 }
 
-// ---- PVCache locality prefetch comparison -----------------------------
+// ---- PVCache victim-buffer comparison ---------------------------------
 
-Fig9PrefetchResult
-fig9PrefetchCompare(const Fig9Options &opt)
+Fig9VictimResult
+fig9VictimCompare(const Fig9Options &opt)
 {
     pv_assert(opt.batches > 0,
-              "fig9PrefetchCompare needs at least one batch");
+              "fig9VictimCompare needs at least one batch");
     WorkloadMix mix;
     for (const WorkloadMix &m : presetMixes()) {
         if (m.name == "mixed")
@@ -388,9 +387,8 @@ fig9PrefetchCompare(const Fig9Options &opt)
     }
     pv_assert(!mix.workloads.empty(), "preset mix 'mixed' missing");
 
-    Fig9PrefetchResult res;
+    Fig9VictimResult res;
     res.mix = mix.name;
-    res.depth = opt.pvPrefetch ? opt.pvPrefetch : 2;
     res.victimEntries = opt.victimEntries ? opt.victimEntries : 8;
 
     // One self-contained System per (side, batch) job, matched
@@ -399,9 +397,6 @@ fig9PrefetchCompare(const Fig9Options &opt)
     // sides; the runs vector is bit-identical to a serial loop.
     struct Run {
         TimedRun timed;
-        uint64_t prefetchFills = 0;
-        uint64_t prefetchUseful = 0;
-        uint64_t prefetchDrops = 0;
         uint64_t victimHits = 0;
     };
     const unsigned batches = opt.batches;
@@ -410,7 +405,6 @@ fig9PrefetchCompare(const Fig9Options &opt)
         const bool on = j >= batches;
         SystemConfig cfg =
             fig9Config(mix, opt, BtbMode::Virtualized);
-        cfg.pvPrefetch = on ? res.depth : 0;
         cfg.victimEntries = on ? res.victimEntries : 0;
         cfg.seedOffset = j % batches;
         System sys(cfg);
@@ -421,14 +415,11 @@ fig9PrefetchCompare(const Fig9Options &opt)
             PvProxy *p = sys.pvProxy(c);
             if (!p)
                 continue;
-            r.prefetchFills += p->prefetchFills.value();
-            r.prefetchUseful += p->prefetchUseful.value();
-            r.prefetchDrops += p->prefetchDrops.value();
             r.victimHits += p->victimHits.value();
         }
     });
 
-    auto fold = [&](Fig9PrefetchSide &side, const Run *first) {
+    auto fold = [&](Fig9VictimSide &side, const Run *first) {
         TimedRun all;
         double ipc_sum = 0.0;
         for (unsigned b = 0; b < batches; ++b) {
@@ -438,9 +429,6 @@ fig9PrefetchCompare(const Fig9Options &opt)
             all.btbHits += r.timed.btbHits;
             all.btbMispredicts += r.timed.btbMispredicts;
             all.btbUnavailable += r.timed.btbUnavailable;
-            side.prefetchFills += r.prefetchFills;
-            side.prefetchUseful += r.prefetchUseful;
-            side.prefetchDrops += r.prefetchDrops;
             side.victimHits += r.victimHits;
         }
         side.ipc = ipc_sum / double(batches);
@@ -541,7 +529,6 @@ qosConfig(const QosOptions &opt, const QosSetting &s)
     cfg.pvBytesPerCore = std::max<uint64_t>(
         cfg.pvBytesPerCore,
         uint64_t(opt.btbSets + opt.agtSets) * kBlockBytes);
-    cfg.pvPrefetch = opt.pvPrefetch;
     cfg.victimEntries = opt.victimEntries;
     return cfg;
 }

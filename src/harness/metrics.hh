@@ -233,9 +233,6 @@ struct Fig9Options {
      * {kFig9MixStability} — one pass at the recorded defaults.
      */
     std::vector<double> edgeStabilities;
-    /** PVCache locality prefetch depth on the virtualized side
-     *  (paper Section 4.3); 0 keeps the detector off. */
-    unsigned pvPrefetch = 0;
     /** Victim-buffer entries per proxy (0 = none). */
     unsigned victimEntries = 0;
 };
@@ -288,43 +285,39 @@ SystemConfig fig9Config(const WorkloadMix &mix,
  */
 std::vector<Fig9Row> fig9Sweep(const Fig9Options &opt);
 
-/** One side (prefetch off / on) of the PVCache locality-prefetch
+/** One side (victim buffer off / on) of the PVCache victim-buffer
  *  comparison: virtualized-BTB runs, batch-aggregated. */
-struct Fig9PrefetchSide {
+struct Fig9VictimSide {
     double ipc = 0.0; ///< mean aggregate IPC across batches
     /** BTB availability-redirect rate (percent): lookups unanswered
      *  at fetch because the PV line was still in flight. */
     double availRedirectPct = 0.0;
-    /** Proxy prefetch/victim counters summed over cores+batches. */
-    uint64_t prefetchFills = 0;
-    uint64_t prefetchUseful = 0;
-    uint64_t prefetchDrops = 0;
+    /** Proxy victim-buffer hits summed over cores+batches. */
     uint64_t victimHits = 0;
     double wallSeconds = 0.0;
 };
 
-/** Outcome of fig9PrefetchCompare: the off/on matched pair. */
-struct Fig9PrefetchResult {
+/** Outcome of fig9VictimCompare: the off/on matched pair. */
+struct Fig9VictimResult {
     std::string mix;            ///< preset the comparison ran
-    unsigned depth = 0;         ///< prefetch depth of the on side
     unsigned victimEntries = 0; ///< victim entries of the on side
-    Fig9PrefetchSide off, on;
+    Fig9VictimSide off, on;
     /** Relative reduction of the availability-redirect rate,
-     *  off -> on (positive = the prefetcher hides fill latency). */
+     *  off -> on (positive = retention hides fill latency). */
     double availImprovementPct = 0.0;
     /** Mean matched-seed IPC delta of on over off (percent). */
     double ipcDeltaPct = 0.0;
 };
 
 /**
- * PVCache locality prefetch (paper Section 4.3) off-vs-on matched
- * pair: the virtualized side of the "mixed" preset, identical seeds
- * per batch, prefetch disabled vs opt.pvPrefetch/opt.victimEntries
- * (0 falls back to depth 2 / 8 victim entries so the default sweep
- * still exercises the detector). The off side is bit-identical to
- * the pre-prefetch proxy, so the delta is the prefetcher's doing.
+ * PVCache victim retention (paper Section 4.3 locality) off-vs-on
+ * matched pair: the virtualized side of the "mixed" preset,
+ * identical seeds per batch, no victim buffer vs opt.victimEntries
+ * entries (0 falls back to 8 so the default sweep still exercises
+ * the buffer). The off side is the plain proxy, so the delta is the
+ * victim buffer's doing.
  */
-Fig9PrefetchResult fig9PrefetchCompare(const Fig9Options &opt);
+Fig9VictimResult fig9VictimCompare(const Fig9Options &opt);
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
 
@@ -369,9 +362,6 @@ struct QosOptions {
     uint64_t warmupRecords = 20'000;  ///< per core
     uint64_t measureRecords = 60'000; ///< per core
     unsigned batches = 2;             ///< matched batches per setting
-    /** PVCache locality prefetch depth on every proxy (paper
-     *  Section 4.3); 0 keeps the detector off. */
-    unsigned pvPrefetch = 0;
     /** Victim-buffer entries per proxy (0 = none). */
     unsigned victimEntries = 0;
     /** Settings to run; empty means presetQosSettings(). The first

@@ -161,7 +161,6 @@ System::System(const SystemConfig &cfg)
             PvProxyParams pp;
             pp.name = cn + ".pvproxy";
             pp.pvCacheEntries = cfg_.pvCacheEntries;
-            pp.prefetchDepth = cfg_.pvPrefetch;
             pp.victimEntries = cfg_.victimEntries;
             pp.usedBitsPerLine = 0; // tenants report their codecs
             // Shared tables: everyone gets core 0's PVStart

@@ -120,13 +120,6 @@ struct SystemConfig {
     /** PVCache entries for the virtualized PHT (paper: 8). */
     unsigned pvCacheEntries = 8;
     /**
-     * PVCache locality prefetch depth (paper Section 4.3): sets
-     * speculatively fetched ahead when a tenant's demand stream
-     * extends a detected sequential-set stride. 0 (default) keeps
-     * the detector off — bit-identical to the pre-prefetch proxy.
-     */
-    unsigned pvPrefetch = 0;
-    /**
      * Victim-buffer entries per proxy retaining evicted-but-hot PV
      * lines, charged to the owning tenant's PVCache entitlement
      * share. 0 (default) disables retention.

@@ -2,7 +2,9 @@
  * @file
  * Minimal command-line argument parser used by the bench harnesses
  * and examples. Supports --key=value, --key value and boolean flags
- * (--flag / --no-flag), with typed accessors and defaults.
+ * (--flag / --no-flag), with typed accessors and defaults. Every
+ * accessor records the name it was asked for, so rejectUnknown()
+ * can refuse a flag the program never reads instead of ignoring it.
  */
 
 #ifndef PVSIM_UTIL_ARGS_HH
@@ -10,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -58,10 +61,21 @@ class Args
     /** The program name (argv[0]), empty if default-constructed. */
     const std::string &program() const { return program_; }
 
+    /**
+     * Exit with `exit_code` after naming the first given option that
+     * no accessor above has asked for. Call it once every option the
+     * program understands has been read.
+     */
+    void rejectUnknown(int exit_code = 1) const;
+
   private:
+    /** The value of --name, or nullptr when absent; marks it read. */
+    const std::string *find(const std::string &name) const;
+
     std::string program_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
+    mutable std::set<std::string> queried_;
 };
 
 } // namespace pvsim

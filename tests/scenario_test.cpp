@@ -262,7 +262,7 @@ TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)
     EXPECT_EQ(scenarioCores(s), 9);
 }
 
-// ---- Keys of the removed quantum-barrier timing path ---------------------
+// ---- Keys of removed mechanisms ------------------------------------------
 
 namespace {
 
@@ -283,28 +283,30 @@ expectKeyRefused(const std::string &section, const std::string &key)
     }
 }
 
-const char *const kRetiredTimingKeys[] = {
+/** The quantum-barrier timing path's knobs, then the PVCache stride
+ *  prefetcher's depth. */
+const char *const kRetiredKeys[] = {
     "timing_shards", "sync_quantum", "l2_bank_domains", "dram_lanes",
-    "drain_overlap",
+    "drain_overlap", "pv_prefetch",
 };
 
 } // namespace
 
-TEST(ScenarioRetiredKeyTest, SystemRefusesTheRetiredTimingKeys)
+TEST(ScenarioRetiredKeyTest, SystemRefusesTheRetiredKeys)
 {
-    for (const char *key : kRetiredTimingKeys)
+    for (const char *key : kRetiredKeys)
         expectKeyRefused("system", key);
 }
 
-TEST(ScenarioRetiredKeyTest, Fig9RefusesTheRetiredTimingKeys)
+TEST(ScenarioRetiredKeyTest, Fig9RefusesTheRetiredKeys)
 {
-    for (const char *key : kRetiredTimingKeys)
+    for (const char *key : kRetiredKeys)
         expectKeyRefused("fig9", key);
 }
 
-TEST(ScenarioRetiredKeyTest, QosRefusesTheRetiredTimingKeys)
+TEST(ScenarioRetiredKeyTest, QosRefusesTheRetiredKeys)
 {
-    for (const char *key : kRetiredTimingKeys)
+    for (const char *key : kRetiredKeys)
         expectKeyRefused("qos", key);
 }
 

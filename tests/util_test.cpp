@@ -285,3 +285,19 @@ TEST(Args, ListsAndPositional)
     ASSERT_EQ(a.positional().size(), 2u);
     EXPECT_EQ(a.positional()[1], "pos2");
 }
+
+TEST(Args, RejectUnknownNamesTheUnreadFlag)
+{
+    // Every option the program read passes, including a --no- flag
+    // and a flag only probed with has(); the one never read fails
+    // with the caller's exit code, named in the message.
+    Args a = makeArgs({"prog", "--refs=1", "--no-csv", "--smoke",
+                       "--bogus", "x"});
+    a.getUint("refs");
+    a.getBool("csv");
+    a.has("smoke");
+    EXPECT_EXIT(a.rejectUnknown(2), ::testing::ExitedWithCode(2),
+                "prog: unknown option --bogus");
+    a.getString("bogus");
+    a.rejectUnknown(2);
+}

@@ -27,15 +27,15 @@ What is gated, and why these tolerances:
   protection percentages within --hit-tol-pp of the baseline, and
   the best protection across settings must stay positive — the
   experiment's reason to exist.
-* fig9 prefetch section: the PVCache locality prefetch comparison
+* fig9 victim section: the PVCache victim-buffer comparison
   (off-vs-on matched pair on the mixed preset) is gated within the
-  fresh artifact itself, so it is host-independent: the prefetch-on
+  fresh artifact itself, so it is host-independent: the victim-on
   side's availability-redirect rate must land strictly below the
-  prefetch-off side's (the mechanism's reason to exist), the
-  detector must actually have fired (nonzero prefetch fills), and
-  the matched-seed IPC delta must not fall below
-  --prefetch-ipc-tol-pp percent — locality prefetch is allowed to
-  be IPC-neutral, never an IPC tax.
+  victim-off side's (the mechanism's reason to exist), the buffer
+  must actually have served misses (nonzero victim hits), and the
+  matched-seed IPC delta must not fall below --victim-ipc-tol-pp
+  percent — victim retention is allowed to be IPC-neutral, never an
+  IPC tax.
 * scenarios (--pvsim + --scenarios): the committed scenario corpus
   must pass `pvsim validate` (strict parse, unknown-key rejection,
   round-trip stability) and every file's fingerprint must match the
@@ -121,32 +121,30 @@ def check_fig9(gate, current, baseline, tol_pp, hit_tol_pp, ipc_rel):
                 )
 
 
-def check_fig9_prefetch(gate, current, ipc_tol_pp):
-    """Gate the PVCache locality-prefetch comparison within the
-    fresh artifact (off vs on is a matched pair produced by the same
-    host and tree, so no committed baseline is needed)."""
-    pf = current.get("prefetch")
+def check_fig9_victim(gate, current, ipc_tol_pp):
+    """Gate the PVCache victim-buffer comparison within the fresh
+    artifact (off vs on is a matched pair produced by the same host
+    and tree, so no committed baseline is needed)."""
+    vb = current.get("victim")
     gate.check(
-        isinstance(pf, dict),
-        "fig9: prefetch section missing from artifact",
+        isinstance(vb, dict),
+        "fig9: victim section missing from artifact",
     )
-    if not isinstance(pf, dict):
+    if not isinstance(vb, dict):
         return
-    off = pf.get("off", {})
-    on = pf.get("on", {})
+    off = vb.get("off", {})
+    on = vb.get("on", {})
     label = (
-        f"fig9 prefetch ({pf.get('mix', '?')}, depth "
-        f"{pf.get('depth', '?')}, victims "
-        f"{pf.get('victim_entries', '?')})"
+        f"fig9 victim ({vb.get('mix', '?')}, "
+        f"{vb.get('victim_entries', '?')} entries)"
     )
     for side, run in (("off", off), ("on", on)):
         gate.check(
             run.get("ipc", 0) > 0, f"{label}: {side} side zero IPC"
         )
     gate.check(
-        on.get("prefetch_fills", 0) > 0,
-        f"{label}: stride detector never fired "
-        f"(zero prefetch fills on the on side)",
+        on.get("victim_hits", 0) > 0,
+        f"{label}: victim-on run recorded no victim hits",
     )
     off_redir = off.get("avail_redirect_pct", 0.0)
     on_redir = on.get("avail_redirect_pct", 100.0)
@@ -154,19 +152,18 @@ def check_fig9_prefetch(gate, current, ipc_tol_pp):
         on_redir < off_redir,
         f"{label}: on-side availability redirects "
         f"{on_redir:.2f}% not strictly below off-side "
-        f"{off_redir:.2f}% — the prefetcher buys nothing",
+        f"{off_redir:.2f}% — the victim buffer buys nothing",
     )
-    ipc_delta = pf.get("ipc_delta_pct", 0.0)
+    ipc_delta = vb.get("ipc_delta_pct", 0.0)
     gate.check(
         ipc_delta >= -ipc_tol_pp,
         f"{label}: matched-seed IPC delta {ipc_delta:+.2f}% below "
-        f"-{ipc_tol_pp}% — prefetch has become an IPC tax",
+        f"-{ipc_tol_pp}% — the victim buffer has become an IPC tax",
     )
     print(
         f"{label}: redirects {off_redir:.2f}% -> {on_redir:.2f}% "
-        f"({pf.get('avail_improvement_pct', 0.0):+.1f}% relative), "
-        f"ipc {ipc_delta:+.2f}%, fills {on.get('prefetch_fills', 0)}, "
-        f"useful {on.get('prefetch_useful', 0)}, victim hits "
+        f"({vb.get('avail_improvement_pct', 0.0):+.1f}% relative), "
+        f"ipc {ipc_delta:+.2f}%, victim hits "
         f"{on.get('victim_hits', 0)}"
     )
 
@@ -328,9 +325,9 @@ def main():
         help="relative tolerance on per-row IPC values",
     )
     ap.add_argument(
-        "--prefetch-ipc-tol-pp", type=float, default=3.0,
-        help="max matched-seed IPC loss of the prefetch-on side "
-        "over prefetch-off (percent)",
+        "--victim-ipc-tol-pp", type=float, default=3.0,
+        help="max matched-seed IPC loss of the victim-on side "
+        "over victim-off (percent)",
     )
     args = ap.parse_args()
 
@@ -342,7 +339,7 @@ def main():
             gate, fig9_cur, fig9_base,
             args.fig9_tol_pp, args.hit_tol_pp, args.ipc_rel_tol,
         )
-        check_fig9_prefetch(gate, fig9_cur, args.prefetch_ipc_tol_pp)
+        check_fig9_victim(gate, fig9_cur, args.victim_ipc_tol_pp)
     if args.stepping:
         check_stepping(gate, load(args.stepping))
     if args.pvsim and args.scenarios:

@@ -69,11 +69,9 @@ baseName(const std::string &path)
 }
 
 int
-cmdRun(const std::vector<std::string> &files, const Args &args)
+cmdRun(const std::vector<std::string> &files, uint64_t max_cores,
+       const std::string &json_out)
 {
-    const uint64_t max_cores = args.getUint("max-cores", 0);
-    const std::string json_out = args.getString("json-out", "");
-
     std::ostringstream js;
     js << "{\n  \"bench\": \"pvsim\",\n  \"scenarios\": [\n";
     bool first = true;
@@ -147,9 +145,8 @@ cmdValidate(const std::vector<std::string> &files)
 }
 
 int
-cmdFingerprint(const std::vector<std::string> &files, const Args &args)
+cmdFingerprint(const std::vector<std::string> &files, bool as_json)
 {
-    const bool as_json = args.getBool("json", false);
     int failures = 0;
     std::ostringstream js;
     js << "{\n";
@@ -193,6 +190,21 @@ main(int argc, char **argv)
     if (paths.empty())
         return usage();
 
+    // Each command reads its own options up front, so a flag it does
+    // not understand is refused before any scenario runs.
+    uint64_t max_cores = 0;
+    std::string json_out;
+    bool as_json = false;
+    if (cmd == "run") {
+        max_cores = args.getUint("max-cores", 0);
+        json_out = args.getString("json-out", "");
+    } else if (cmd == "fingerprint") {
+        as_json = args.getBool("json", false);
+    } else if (cmd != "validate") {
+        return usage();
+    }
+    args.rejectUnknown(2);
+
     std::vector<std::string> files;
     try {
         files = expandPaths(paths);
@@ -202,10 +214,8 @@ main(int argc, char **argv)
     }
 
     if (cmd == "run")
-        return cmdRun(files, args);
+        return cmdRun(files, max_cores, json_out);
     if (cmd == "validate")
         return cmdValidate(files);
-    if (cmd == "fingerprint")
-        return cmdFingerprint(files, args);
-    return usage();
+    return cmdFingerprint(files, as_json);
 }

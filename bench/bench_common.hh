@@ -80,41 +80,6 @@ emit(const TextTable &t, const BenchOptions &opt)
     std::cout << "\n";
 }
 
-// ---- Host-cost reporting (sweep drivers) ------------------------------
-//
-// Every timing sweep row carries its measure-phase wall-clock and
-// event count; the drivers print both so a perf regression in the
-// simulator itself (not the simulated machine) is visible in the
-// recorded artifacts.
-
-/** Wall-clock cell: "12.34s". */
-inline std::string
-fmtWall(double seconds)
-{
-    return fmtDouble(seconds, 2) + "s";
-}
-
-/** Throughput cell: "3.21Mev/s" (events per wall second). */
-inline std::string
-fmtEventsPerSec(double eps)
-{
-    return fmtDouble(eps / 1e6, 2) + "Mev/s";
-}
-
-/** One stdout line summarizing a configuration's host cost. */
-inline void
-printHostCost(const std::string &label, double wall_seconds,
-              uint64_t events)
-{
-    std::cout << label << ": wall " << fmtWall(wall_seconds) << ", "
-              << events << " events ("
-              << fmtEventsPerSec(
-                     wall_seconds > 0.0
-                         ? double(events) / wall_seconds
-                         : 0.0)
-              << ")\n";
-}
-
 } // namespace bench
 } // namespace pvsim
 

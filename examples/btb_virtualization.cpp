@@ -35,6 +35,7 @@ main(int argc, char **argv)
     uint64_t refs = args.getUint("refs", 300'000);
     unsigned btb_sets = unsigned(args.getUint("btb-sets", 2048));
     Cycles penalty = args.getUint("penalty", 8);
+    args.rejectUnknown();
 
     // The paper's machine with SMS-PV prefetching, plus a BTB
     // tenant on every core's proxy.
@@ -118,8 +119,8 @@ main(int argc, char **argv)
                   << opt.btbSets << "-set BTB cost in IPC at a "
                   << penalty
                   << "-cycle redirect? (2-core matched pair, same "
-                     "seeds; see bench/fig9_sweep for the full "
-                     "sweep)\n";
+                     "seeds; `pvsim run scenarios/full/fig9.json` "
+                     "runs the full sweep)\n";
         opt.warmupRecords = 2'000;
         opt.measureRecords = 10'000;
         opt.batches = 2;

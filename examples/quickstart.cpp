@@ -67,11 +67,16 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     std::string stats_file = args.getString("stats", "");
+    // A scenario file supplies the budgets unless the flags are given.
+    const bool refs_given = args.has("refs");
+    const bool warmup_given = args.has("warmup");
     uint64_t refs = args.getUint("refs", 2'000'000);
     uint64_t warmup = args.getUint("warmup", 1'000'000);
+    const std::string workload_flag = args.getString("workload", "");
 
     // The virtualized machine, from a scenario file when available.
     std::string scenario_file = args.getString("scenario", "");
+    args.rejectUnknown();
     if (scenario_file.empty()) {
         for (const char *p : {"scenarios/quickstart.json",
                               "../scenarios/quickstart.json"}) {
@@ -91,8 +96,10 @@ main(int argc, char **argv)
             return 2;
         }
         pv = s.system;
-        warmup = args.getUint("warmup", s.warmupRefs);
-        refs = args.getUint("refs", s.measureRefs);
+        if (!warmup_given)
+            warmup = s.warmupRefs;
+        if (!refs_given)
+            refs = s.measureRefs;
         std::cout << "pvsim quickstart: config from " << scenario_file
                   << " (fingerprint "
                   << config::fingerprintHex(scenarioFingerprint(s))
@@ -100,8 +107,8 @@ main(int argc, char **argv)
     } else {
         pv = pvConfig("oracle", 8);
     }
-    if (args.has("workload"))
-        pv.workload = args.getString("workload", pv.workload);
+    if (!workload_flag.empty())
+        pv.workload = workload_flag;
     const std::string workload = pv.workload;
 
     std::cout << "pvsim quickstart: workload '" << workload << "', "

@@ -53,6 +53,74 @@ scenarioFingerprint(const Scenario &s)
     return config::fingerprint(s);
 }
 
+namespace {
+
+/**
+ * The structural preconditions System's constructor and the engine
+ * adapters assert on, checked on a config the scenario will build;
+ * `where` prefixes the error path.
+ */
+void
+validateSystem(const SystemConfig &cfg, const std::string &where)
+{
+    auto fail = [&where](const std::string &path,
+                         const std::string &msg) {
+        throw ConfigError(where + "." + path + ": " + msg);
+    };
+    if (cfg.numCores < 1)
+        fail("num_cores", "must be >= 1");
+    if (cfg.btb.mode == BtbMode::Dedicated &&
+        (cfg.btb.numSets == 0 || cfg.btb.assoc == 0))
+        fail("btb", "num_sets and assoc must be >= 1");
+    if (cfg.prefetch == PrefetchMode::SmsDedicated &&
+        (cfg.phtGeometry.numSets == 0 || cfg.phtGeometry.assoc == 0))
+        fail("pht_geometry", "num_sets and assoc must be >= 1");
+    const std::vector<VirtEngineConfig> registry =
+        cfg.engineRegistry();
+    if (!registry.empty() && cfg.pvCacheEntries == 0)
+        fail("pv_cache_entries",
+             "must be >= 1 when a virtualized engine runs");
+    // The implicit PHT/BTB tenants come first, each spelled by its
+    // own section; the explicit entries follow.
+    const size_t implicit = registry.size() - cfg.virtEngines.size();
+    uint64_t bytes = 0;
+    for (size_t i = 0; i < registry.size(); ++i) {
+        const VirtEngineConfig &e = registry[i];
+        const std::string path =
+            i >= implicit
+                ? "virt_engines[" + std::to_string(i - implicit) + "]"
+            : e.kind == VirtEngineKind::Pht ? "pht_geometry"
+                                            : "btb";
+        if (e.numSets == 0)
+            fail(path, "num_sets must be >= 1");
+        if (i >= implicit && e.kind == VirtEngineKind::Pht)
+            fail(path, "a PHT tenant is requested with prefetch "
+                       "\"sms_virtualized\", not a registry entry");
+        const PvSetGeometry g = engineGeometry(e);
+        if (!g.fieldsInRange())
+            fail(path, std::to_string(g.ways) + " ways of " +
+                           std::to_string(g.tagBits) +
+                           "-bit tags are outside the PV codec's "
+                           "range (1.." +
+                           std::to_string(kPvMaxWays) +
+                           " ways, tags <= 32 bits)");
+        if (!g.fitsLine())
+            fail(path, "set of " + std::to_string(g.ways) + " x " +
+                           std::to_string(g.entryBits()) +
+                           "-bit entries does not fit a " +
+                           std::to_string(kBlockBytes) +
+                           "-byte line");
+        bytes += uint64_t(e.numSets) * kBlockBytes;
+    }
+    if (bytes > cfg.pvBytesPerCore)
+        fail("pv_bytes_per_core",
+             std::to_string(cfg.pvBytesPerCore) +
+                 " bytes cannot hold the engines' " +
+                 std::to_string(bytes) + " bytes of PVTables");
+}
+
+} // namespace
+
 void
 validateScenario(const Scenario &s)
 {
@@ -70,20 +138,8 @@ validateScenario(const Scenario &s)
         throw ConfigError(s.name + ": measure_records must be > 0");
     if (s.kind == "functional" && s.measureRefs == 0)
         throw ConfigError(s.name + ": measure_refs must be > 0");
-    if ((s.kind == "timed" || s.kind == "functional") &&
-        s.system.numCores < 1)
-        throw ConfigError(s.name + ": system.num_cores must be >= 1");
-    for (size_t i = 0; i < s.system.virtEngines.size(); ++i) {
-        const PvSetGeometry g =
-            engineGeometry(s.system.virtEngines[i]);
-        if (!g.fitsLine())
-            throw ConfigError(
-                s.name + ": system.virt_engines[" + std::to_string(i) +
-                "]: set of " + std::to_string(g.ways) + " x " +
-                std::to_string(g.entryBits()) +
-                "-bit entries does not fit a " +
-                std::to_string(kBlockBytes) + "-byte line");
-    }
+    if (s.kind == "timed" || s.kind == "functional")
+        validateSystem(s.system, s.name + ": system");
     if (s.kind == "fig9") {
         if (s.fig9.batches == 0)
             throw ConfigError(s.name +
@@ -100,18 +156,43 @@ validateScenario(const Scenario &s)
                     std::to_string(i) +
                     "] must be in [0, 1] or -1 (mix default)");
         }
+        // Every System the sweep builds: both sides of each mix.
+        for (const WorkloadMix &mix : s.fig9.mixes.empty()
+                                          ? presetMixes()
+                                          : s.fig9.mixes) {
+            for (BtbMode mode :
+                 {BtbMode::Dedicated, BtbMode::Virtualized}) {
+                validateSystem(fig9Config(mix, s.fig9, mode),
+                               s.name + ": fig9 (mix \"" + mix.name +
+                                   "\", " +
+                                   (mode == BtbMode::Dedicated
+                                        ? "dedicated"
+                                        : "virtualized") +
+                                   " side) system");
+            }
+        }
     }
+    if (s.kind == "qos_hetero" && s.qos.numCores % 4 != 0)
+        throw ConfigError(s.name + ": qos.cores must be a multiple "
+                                   "of 4 for the heterogeneous "
+                                   "cluster matrix");
     if (s.kind == "qos" || s.kind == "qos_hetero") {
         if (s.qos.batches == 0)
             throw ConfigError(s.name + ": qos.batches must be >= 1");
         if (s.qos.measureRecords == 0)
             throw ConfigError(s.name +
                               ": qos.measure_records must be > 0");
+        // Every setting the sweep runs; the heterogeneous matrix
+        // installs its contracts over the preset settings' configs.
+        for (const QosSetting &q :
+             s.kind == "qos" && !s.qos.settings.empty()
+                 ? s.qos.settings
+                 : presetQosSettings()) {
+            validateSystem(qosConfig(s.qos, q),
+                           s.name + ": qos (setting \"" + q.label +
+                               "\") system");
+        }
     }
-    if (s.kind == "qos_hetero" && s.qos.numCores % 4 != 0)
-        throw ConfigError(s.name + ": qos.cores must be a multiple "
-                                   "of 4 for the heterogeneous "
-                                   "cluster matrix");
 }
 
 int

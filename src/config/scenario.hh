@@ -1,20 +1,19 @@
 /**
  * @file
  * Declarative scenarios: a JSON file under scenarios/ is one
- * experiment
- * — a plain timed or functional run of a SystemConfig, or a whole
- * fig9/qos/qos_hetero sweep — expressed as data and executed
- * through the exact same harness entry points (timedRun, fig9Sweep,
- * qosSweep, qosHeterogeneous) the compiled bench drivers use. The
- * runner emits the same JSON row schema as the drivers
- * (harness/row_json.hh), so a scenario's rows are byte-identical
- * to the corresponding BENCH_*.json rows for the same options.
+ * experiment — a plain timed or functional run of a SystemConfig,
+ * or a whole fig9/qos/qos_hetero sweep — expressed as data and
+ * executed through the harness entry points (timedRun, fig9Sweep,
+ * qosSweep, qosHeterogeneous). The runner emits the BENCH_*.json
+ * row schema (harness/row_json.hh); every committed fig9 and qos
+ * artifact is a `pvsim run` of scenario files.
  *
  * Every field of every nested config is reflected
  * (config/fields.hh): absent keys default, unknown keys are
  * rejected with a full path, and the canonical serialization yields
- * a stable fingerprint() recorded in scenarios/MANIFEST.json — a
- * scenario edit without a manifest refresh fails the bench gate.
+ * a stable fingerprint() recorded in each corpus directory's
+ * MANIFEST.json — a scenario edit without a manifest refresh fails
+ * the bench gate.
  */
 
 #ifndef PVSIM_CONFIG_SCENARIO_HH
@@ -85,7 +84,10 @@ uint64_t scenarioFingerprint(const Scenario &s);
 /**
  * Structural validation beyond field types: known kind, nonempty
  * name, nonzero budgets for the kind that runs, the qos_hetero
- * cores%4 precondition. Throws json::ConfigError.
+ * cores%4 precondition, and every SystemConfig the kind builds
+ * (the system section, each fig9 mix and BTB side, each qos
+ * setting) buildable: cores, engine sets that fit a line, PVCache
+ * entries, PV space. Throws json::ConfigError naming the path.
  */
 void validateScenario(const Scenario &s);
 
@@ -103,10 +105,9 @@ int scenarioCores(const Scenario &s);
 std::vector<std::string> listScenarioFiles(const std::string &path);
 
 /**
- * The sweep drivers' jobs_effective bookkeeping (one System per
- * (mix, stability, side, batch) resp. (setting, batch) job),
- * honoring the empty-means-presets convention — shared so a
- * scenario row is byte-identical to the compiled driver's.
+ * The sweeps' jobs_effective bookkeeping (one System per (mix,
+ * stability, side, batch) resp. (setting, batch) job), honoring the
+ * empty-means-presets convention; recorded in each row.
  */
 unsigned fig9JobsEffective(const Fig9Options &opt);
 unsigned qosJobsEffective(const QosOptions &opt);

@@ -73,6 +73,14 @@ struct PvSetGeometry {
     unsigned entryBits() const { return tagBits + payloadBits; }
     unsigned usedBits() const { return ways * entryBits(); }
     bool fitsLine() const { return usedBits() <= kBlockBytes * 8; }
+
+    /** The field ranges PvSetCodec accepts (fitsLine() aside). */
+    bool
+    fieldsInRange() const
+    {
+        return ways > 0 && ways <= kPvMaxWays && tagBits <= 32 &&
+               payloadBits > 0 && payloadBits <= 57;
+    }
 };
 
 /**
@@ -92,11 +100,8 @@ class PvSetCodec
         : ways_(geom.ways), tagBits_(geom.tagBits),
           payloadBits_(geom.payloadBits)
     {
-        pv_assert(ways_ > 0 && ways_ <= kPvMaxWays,
-                  "codec ways out of range");
-        pv_assert(tagBits_ <= 32 && payloadBits_ <= 57 &&
-                      payloadBits_ > 0,
-                  "codec field widths out of range");
+        pv_assert(geom.fieldsInRange(),
+                  "codec ways or field widths out of range");
         pv_assert(geom.fitsLine(),
                   "set of %u x %u-bit entries does not fit a %u-byte "
                   "line",

@@ -171,6 +171,8 @@ runMeasured(System &sys, uint64_t warmup_records,
         r.btbHits += sys.core(c).btbHits.value();
         r.btbMispredicts += sys.core(c).btbMispredicts.value();
         r.btbUnavailable += sys.core(c).btbUnavailable.value();
+        if (PvProxy *p = sys.pvProxy(c))
+            r.victimHits += p->victimHits.value();
     }
     return r;
 }
@@ -355,6 +357,8 @@ fig9Sweep(const Fig9Options &opt)
                 ded_all.btbMispredicts += ded[b].btbMispredicts;
                 virt_all.btbHits += virt[b].btbHits;
                 virt_all.btbMispredicts += virt[b].btbMispredicts;
+                virt_all.btbUnavailable += virt[b].btbUnavailable;
+                row.victimHits += virt[b].victimHits;
                 row.batchPct[b] =
                     ded[b].ipc > 0.0
                         ? 100.0 * (virt[b].ipc / ded[b].ipc - 1.0)
@@ -364,6 +368,9 @@ fig9Sweep(const Fig9Options &opt)
             row.virtualizedIpc = virt_sum / double(batches);
             row.dedicatedHitPct = 100.0 * ded_all.btbHitRate();
             row.virtualizedHitPct = 100.0 * virt_all.btbHitRate();
+            row.virtualizedAvailRedirectPct =
+                100.0 * virt_all.btbAvailabilityRedirectRate();
+            row.victimEntries = opt.victimEntries;
             MeanCi ci = meanCi(row.batchPct);
             row.speedupPct = ci.mean;
             row.ciPct = ci.halfWidth;
@@ -371,88 +378,6 @@ fig9Sweep(const Fig9Options &opt)
         }
     }
     return rows;
-}
-
-// ---- PVCache victim-buffer comparison ---------------------------------
-
-Fig9VictimResult
-fig9VictimCompare(const Fig9Options &opt)
-{
-    pv_assert(opt.batches > 0,
-              "fig9VictimCompare needs at least one batch");
-    WorkloadMix mix;
-    for (const WorkloadMix &m : presetMixes()) {
-        if (m.name == "mixed")
-            mix = m;
-    }
-    pv_assert(!mix.workloads.empty(), "preset mix 'mixed' missing");
-
-    Fig9VictimResult res;
-    res.mix = mix.name;
-    res.victimEntries = opt.victimEntries ? opt.victimEntries : 8;
-
-    // One self-contained System per (side, batch) job, matched
-    // seeds. Job layout is side-major (0 = off, 1 = on), so the
-    // batch index — and with it the seed — is j % batches on both
-    // sides; the runs vector is bit-identical to a serial loop.
-    struct Run {
-        TimedRun timed;
-        uint64_t victimHits = 0;
-    };
-    const unsigned batches = opt.batches;
-    std::vector<Run> runs(2 * batches);
-    forEachBatch(unsigned(runs.size()), [&](unsigned j) {
-        const bool on = j >= batches;
-        SystemConfig cfg =
-            fig9Config(mix, opt, BtbMode::Virtualized);
-        cfg.victimEntries = on ? res.victimEntries : 0;
-        cfg.seedOffset = j % batches;
-        System sys(cfg);
-        Run &r = runs[j];
-        r.timed = runMeasured(sys, opt.warmupRecords,
-                              opt.measureRecords);
-        for (int c = 0; c < sys.numCores(); ++c) {
-            PvProxy *p = sys.pvProxy(c);
-            if (!p)
-                continue;
-            r.victimHits += p->victimHits.value();
-        }
-    });
-
-    auto fold = [&](Fig9VictimSide &side, const Run *first) {
-        TimedRun all;
-        double ipc_sum = 0.0;
-        for (unsigned b = 0; b < batches; ++b) {
-            const Run &r = first[b];
-            ipc_sum += r.timed.ipc;
-            side.wallSeconds += r.timed.wallSeconds;
-            all.btbHits += r.timed.btbHits;
-            all.btbMispredicts += r.timed.btbMispredicts;
-            all.btbUnavailable += r.timed.btbUnavailable;
-            side.victimHits += r.victimHits;
-        }
-        side.ipc = ipc_sum / double(batches);
-        side.availRedirectPct =
-            100.0 * all.btbAvailabilityRedirectRate();
-    };
-    fold(res.off, runs.data());
-    fold(res.on, runs.data() + batches);
-
-    std::vector<double> delta(batches, 0.0);
-    for (unsigned b = 0; b < batches; ++b)
-        delta[b] = runs[b].timed.ipc > 0.0
-                       ? 100.0 * (runs[batches + b].timed.ipc /
-                                      runs[b].timed.ipc -
-                                  1.0)
-                       : 0.0;
-    res.ipcDeltaPct = meanCi(delta).mean;
-    res.availImprovementPct =
-        res.off.availRedirectPct > 0.0
-            ? 100.0 * (res.off.availRedirectPct -
-                       res.on.availRedirectPct) /
-                  res.off.availRedirectPct
-            : 0.0;
-    return res;
 }
 
 // ---- Per-tenant QoS contention sweep ----------------------------------

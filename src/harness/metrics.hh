@@ -121,6 +121,8 @@ struct TimedRun {
     double wallSeconds = 0.0;
     /** Events executed during the measure phase. */
     uint64_t eventsExecuted = 0;
+    /** PVCache victim-buffer hits summed over the cores' proxies. */
+    uint64_t victimHits = 0;
 
     /** Simulator throughput of the measure phase. */
     double
@@ -251,6 +253,14 @@ struct Fig9Row {
     /** Taken-branch target hit rates (batch-aggregated). */
     double dedicatedHitPct = 0.0;
     double virtualizedHitPct = 0.0;
+    /** Virtualized side's BTB availability-redirect rate (percent):
+     *  lookups unanswered at fetch because the PV line was still in
+     *  flight. */
+    double virtualizedAvailRedirectPct = 0.0;
+    /** Virtualized side's victim-buffer hits (all batches) and the
+     *  per-proxy victim entries both sides ran with. */
+    uint64_t victimHits = 0;
+    unsigned victimEntries = 0;
     std::vector<double> batchPct;
     /** Host-side cost of the row (both sides, all batches). */
     double wallSeconds = 0.0;
@@ -284,40 +294,6 @@ SystemConfig fig9Config(const WorkloadMix &mix,
  * and independent of the worker count.
  */
 std::vector<Fig9Row> fig9Sweep(const Fig9Options &opt);
-
-/** One side (victim buffer off / on) of the PVCache victim-buffer
- *  comparison: virtualized-BTB runs, batch-aggregated. */
-struct Fig9VictimSide {
-    double ipc = 0.0; ///< mean aggregate IPC across batches
-    /** BTB availability-redirect rate (percent): lookups unanswered
-     *  at fetch because the PV line was still in flight. */
-    double availRedirectPct = 0.0;
-    /** Proxy victim-buffer hits summed over cores+batches. */
-    uint64_t victimHits = 0;
-    double wallSeconds = 0.0;
-};
-
-/** Outcome of fig9VictimCompare: the off/on matched pair. */
-struct Fig9VictimResult {
-    std::string mix;            ///< preset the comparison ran
-    unsigned victimEntries = 0; ///< victim entries of the on side
-    Fig9VictimSide off, on;
-    /** Relative reduction of the availability-redirect rate,
-     *  off -> on (positive = retention hides fill latency). */
-    double availImprovementPct = 0.0;
-    /** Mean matched-seed IPC delta of on over off (percent). */
-    double ipcDeltaPct = 0.0;
-};
-
-/**
- * PVCache victim retention (paper Section 4.3 locality) off-vs-on
- * matched pair: the virtualized side of the "mixed" preset,
- * identical seeds per batch, no victim buffer vs opt.victimEntries
- * entries (0 falls back to 8 so the default sweep still exercises
- * the buffer). The off side is the plain proxy, so the delta is the
- * victim buffer's doing.
- */
-Fig9VictimResult fig9VictimCompare(const Fig9Options &opt);
 
 // ---- Per-tenant QoS contention sweep ----------------------------------
 

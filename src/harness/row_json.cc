@@ -25,13 +25,16 @@ fig9RowJson(const Fig9Row &r, unsigned jobs_effective)
        << ", \"virtualized_ipc\": " << r.virtualizedIpc
        << ", \"dedicated_hit_pct\": " << r.dedicatedHitPct
        << ", \"virtualized_hit_pct\": " << r.virtualizedHitPct
+       << ", \"virtualized_avail_redirect_pct\": "
+       << r.virtualizedAvailRedirectPct
        << ", \"speedup_pct\": " << r.speedupPct
        << ", \"ci_pct\": " << r.ciPct
+       << ", \"victim_entries\": " << r.victimEntries
+       << ", \"victim_hits\": " << r.victimHits
        << ", \"wall_seconds\": " << r.wallSeconds
        << ", \"events\": " << r.eventsExecuted
        << ", \"events_per_sec\": " << r.eventsPerSec()
-       << ", \"jobs_effective\": " << jobs_effective
- << "}";
+       << ", \"jobs_effective\": " << jobs_effective << "}";
     return os.str();
 }
 
@@ -53,8 +56,7 @@ qosRowJson(const QosRow &r, unsigned jobs_effective)
        << ", \"wall_seconds\": " << r.wallSeconds
        << ", \"events\": " << r.eventsExecuted
        << ", \"events_per_sec\": " << r.eventsPerSec()
-       << ", \"jobs_effective\": " << jobs_effective
- << "}";
+       << ", \"jobs_effective\": " << jobs_effective << "}";
     return os.str();
 }
 

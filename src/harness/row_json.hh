@@ -1,11 +1,8 @@
 /**
  * @file
- * The bench-artifact row schema, in one place. fig9_sweep,
- * qos_contention and the pvsim scenario runner all emit rows
- * through these helpers, so a scenario run of an experiment is
- * byte-identical to the compiled driver's row for the same config —
- * and the check_bench.py gate consumes one schema, not three
- * hand-rolled copies.
+ * The bench-artifact row schema, in one place. The pvsim scenario
+ * runner emits every BENCH_*.json row through these helpers, so the
+ * check_bench.py gate consumes one schema, not hand-rolled copies.
  */
 
 #ifndef PVSIM_HARNESS_ROW_JSON_HH
@@ -17,17 +14,18 @@
 
 namespace pvsim {
 
-/** IPC + host-cost body of one TimedRun (no braces): the
- *  "reference"/"protected" objects of BENCH_qos.json. */
+/** IPC + host-cost body of one TimedRun (no braces): a timed
+ *  scenario's row and the qos_hetero "reference"/"protected"
+ *  objects. */
 std::string timedRunJson(const TimedRun &r);
 
-/** One BENCH_fig9.json "rows" element (with braces). */
+/** One fig9 scenario "rows" element (with braces). */
 std::string fig9RowJson(const Fig9Row &r, unsigned jobs_effective);
 
-/** One BENCH_qos.json "rows" element (with braces). */
+/** One qos scenario "rows" element (with braces). */
 std::string qosRowJson(const QosRow &r, unsigned jobs_effective);
 
-/** One BENCH_qos.json heterogeneous "clusters" element. */
+/** One qos_hetero scenario "rows" element (a cluster group). */
 std::string qosClusterRowJson(const QosClusterRow &c);
 
 } // namespace pvsim

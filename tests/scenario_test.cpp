@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the declarative scenario layer: the committed corpus
- * parses, validates, round-trips byte-stably and matches the
- * fingerprint manifest; a parsed config is bit-identical to its
- * programmatic twin in both functional and timing runs; and the
- * acceptance scenario's options equal the fig9 smoke driver's.
+ * (scenarios/ and the full-size scenarios/full/) parses, validates,
+ * round-trips byte-stably and matches its fingerprint manifests; the
+ * committed BENCH artifacts name the scenarios that produced them;
+ * the victim scenarios pair with their twins; a parsed config is
+ * bit-identical to its programmatic twin in both functional and
+ * timing runs; and validation refuses systems that cannot be built.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -21,10 +24,20 @@ using json::ConfigError;
 namespace {
 
 std::string
+sourcePath(const std::string &rel)
+{
+    return std::string(PVSIM_SOURCE_DIR) + "/" + rel;
+}
+
+std::string
 scenariosDir()
 {
-    return std::string(PVSIM_SOURCE_DIR) + "/scenarios";
+    return sourcePath("scenarios");
 }
+
+/** The smoke corpus and the full-size experiments, each with its
+ *  own MANIFEST.json. */
+const char *const kCorpusDirs[] = {"scenarios", "scenarios/full"};
 
 std::string
 readFile(const std::string &path)
@@ -50,39 +63,45 @@ baseName(const std::string &path)
 
 TEST(ScenarioCorpusTest, EveryScenarioLoadsValidatesAndRoundTrips)
 {
-    std::vector<std::string> files = listScenarioFiles(scenariosDir());
-    EXPECT_GE(files.size(), 12u);
-    for (const std::string &file : files) {
-        SCOPED_TRACE(file);
-        Scenario s = loadScenarioFile(file); // throws on any defect
-        EXPECT_FALSE(s.name.empty());
-        EXPECT_GE(scenarioCores(s), 1);
-        // Canonical form is byte-stable under reparse.
-        std::string canon = dumpScenario(s);
-        Scenario again = parseScenario(canon, file);
-        EXPECT_EQ(dumpScenario(again), canon);
-        EXPECT_EQ(scenarioFingerprint(again),
-                  scenarioFingerprint(s));
+    EXPECT_GE(listScenarioFiles(scenariosDir()).size(), 12u);
+    for (const char *dir : kCorpusDirs) {
+        for (const std::string &file :
+             listScenarioFiles(sourcePath(dir))) {
+            SCOPED_TRACE(file);
+            Scenario s = loadScenarioFile(file); // throws on defects
+            EXPECT_FALSE(s.name.empty());
+            EXPECT_GE(scenarioCores(s), 1);
+            // Canonical form is byte-stable under reparse.
+            std::string canon = dumpScenario(s);
+            Scenario again = parseScenario(canon, file);
+            EXPECT_EQ(dumpScenario(again), canon);
+            EXPECT_EQ(scenarioFingerprint(again),
+                      scenarioFingerprint(s));
+        }
     }
 }
 
 TEST(ScenarioCorpusTest, ManifestMatchesCorpusFingerprints)
 {
-    json::Value manifest = json::Value::parse(
-        readFile(scenariosDir() + "/MANIFEST.json"));
-    ASSERT_TRUE(manifest.isObject());
-    std::vector<std::string> files = listScenarioFiles(scenariosDir());
-    EXPECT_EQ(manifest.members().size(), files.size());
-    for (const std::string &file : files) {
-        SCOPED_TRACE(file);
-        const json::Value *want = manifest.find(baseName(file));
-        ASSERT_NE(want, nullptr)
-            << "scenario missing from MANIFEST.json — regenerate "
-               "with: pvsim fingerprint scenarios --json";
-        Scenario s = loadScenarioFile(file);
-        EXPECT_EQ(config::fingerprintHex(scenarioFingerprint(s)),
-                  want->asString(baseName(file)))
-            << "fingerprint drift — regenerate MANIFEST.json";
+    for (const char *dir : kCorpusDirs) {
+        SCOPED_TRACE(dir);
+        json::Value manifest = json::Value::parse(
+            readFile(sourcePath(dir) + "/MANIFEST.json"));
+        ASSERT_TRUE(manifest.isObject());
+        std::vector<std::string> files =
+            listScenarioFiles(sourcePath(dir));
+        EXPECT_EQ(manifest.members().size(), files.size());
+        for (const std::string &file : files) {
+            SCOPED_TRACE(file);
+            const json::Value *want = manifest.find(baseName(file));
+            ASSERT_NE(want, nullptr)
+                << "scenario missing from MANIFEST.json — regenerate "
+                   "with: pvsim fingerprint DIR --json";
+            Scenario s = loadScenarioFile(file);
+            EXPECT_EQ(config::fingerprintHex(scenarioFingerprint(s)),
+                      want->asString(baseName(file)))
+                << "fingerprint drift — regenerate MANIFEST.json";
+        }
     }
 }
 
@@ -91,8 +110,11 @@ TEST(ScenarioCorpusTest, ListingSortsAndExcludesManifest)
     std::vector<std::string> files = listScenarioFiles(scenariosDir());
     for (size_t i = 1; i < files.size(); ++i)
         EXPECT_LT(files[i - 1], files[i]);
-    for (const std::string &f : files)
+    for (const std::string &f : files) {
         EXPECT_EQ(f.find("MANIFEST"), std::string::npos) << f;
+        // The full-size experiments stay out of a corpus run.
+        EXPECT_EQ(f.find("/full/"), std::string::npos) << f;
+    }
     // A single file expands to itself.
     std::vector<std::string> one = listScenarioFiles(files[0]);
     ASSERT_EQ(one.size(), 1u);
@@ -101,7 +123,7 @@ TEST(ScenarioCorpusTest, ListingSortsAndExcludesManifest)
                  ConfigError);
 }
 
-// ---- The acceptance scenario mirrors the smoke driver -----------------
+// ---- The committed artifacts and their scenarios -----------------------
 
 TEST(ScenarioCorpusTest, Fig9MixedEqualsTheSmokeSweepOptions)
 {
@@ -109,7 +131,8 @@ TEST(ScenarioCorpusTest, Fig9MixedEqualsTheSmokeSweepOptions)
         loadScenarioFile(scenariosDir() + "/fig9-mixed.json");
     ASSERT_EQ(s.kind, "fig9");
 
-    // The options `fig9_sweep --smoke` builds from its flags.
+    // The smoke budget of the CI sweep: the preset mixes at their
+    // own branch profiles, a tiny record budget, two batches.
     Fig9Options smoke;
     smoke.penalty = 8;
     smoke.numCores = 4;
@@ -124,6 +147,100 @@ TEST(ScenarioCorpusTest, Fig9MixedEqualsTheSmokeSweepOptions)
     EXPECT_EQ(config::dumpConfig(s.fig9),
               config::dumpConfig(smoke));
     EXPECT_EQ(fig9JobsEffective(s.fig9), fig9JobsEffective(smoke));
+}
+
+TEST(ScenarioCorpusTest, CommittedArtifactsNameTheirScenarios)
+{
+    // Each committed BENCH artifact is a `pvsim run` of scenario
+    // files: every result object's file must exist in its corpus
+    // directory under the same name and fingerprint, so an edited
+    // scenario fails here until its artifact is regenerated.
+    const std::pair<const char *, const char *> artifacts[] = {
+        {"tools/baselines/BENCH_fig9.smoke.json", "scenarios"},
+        {"tools/baselines/BENCH_qos.smoke.json", "scenarios"},
+        {"BENCH_fig9.json", "scenarios/full"},
+        {"BENCH_qos.json", "scenarios/full"},
+    };
+    for (const auto &[artifact, dir] : artifacts) {
+        SCOPED_TRACE(artifact);
+        json::Value a =
+            json::Value::parse(readFile(sourcePath(artifact)));
+        const json::Value *results = a.find("scenarios");
+        ASSERT_NE(results, nullptr);
+        ASSERT_FALSE(results->items().empty());
+        for (const json::Value &r : results->items()) {
+            const std::string file =
+                r.find("file")->asString("file");
+            SCOPED_TRACE(file);
+            Scenario s = loadScenarioFile(sourcePath(dir) + "/" + file);
+            EXPECT_EQ(r.find("name")->asString("name"), s.name);
+            EXPECT_EQ(r.find("fingerprint")->asString("fingerprint"),
+                      config::fingerprintHex(scenarioFingerprint(s)))
+                << "regenerate " << artifact << " with pvsim run";
+        }
+    }
+}
+
+namespace {
+
+/** The mixes a fig9 section runs, each in canonical form. */
+std::vector<std::string>
+mixesRun(const Fig9Options &o)
+{
+    std::vector<std::string> out;
+    for (const WorkloadMix &m : o.mixes.empty() ? presetMixes() : o.mixes)
+        out.push_back(config::dumpConfig(m));
+    return out;
+}
+
+/** The edge stabilities a fig9 section runs. */
+std::vector<double>
+stabilitiesRun(const Fig9Options &o)
+{
+    return o.edgeStabilities.empty()
+               ? std::vector<double>{kFig9MixStability}
+               : o.edgeStabilities;
+}
+
+template <class T>
+bool
+isSubset(const std::vector<T> &sub, const std::vector<T> &of)
+{
+    return std::all_of(sub.begin(), sub.end(), [&of](const T &x) {
+        return std::find(of.begin(), of.end(), x) != of.end();
+    });
+}
+
+} // namespace
+
+TEST(ScenarioCorpusTest, VictimScenariosPairWithTheirTwins)
+{
+    // check_bench.py pairs each victim_entries > 0 row with the
+    // victim_entries == 0 row of the same (mix, stability); that is
+    // a matched pair only if the two scenarios agree on everything
+    // else.
+    const std::pair<const char *, const char *> pairs[] = {
+        {"scenarios/fig9-mixed-victim.json", "scenarios/fig9-mixed.json"},
+        {"scenarios/full/fig9-victim.json", "scenarios/full/fig9.json"},
+    };
+    for (const auto &[on_file, off_file] : pairs) {
+        SCOPED_TRACE(on_file);
+        Scenario on = loadScenarioFile(sourcePath(on_file));
+        Scenario off = loadScenarioFile(sourcePath(off_file));
+        ASSERT_EQ(on.kind, "fig9");
+        ASSERT_EQ(off.kind, "fig9");
+        EXPECT_GT(on.fig9.victimEntries, 0u);
+        EXPECT_EQ(off.fig9.victimEntries, 0u);
+        EXPECT_TRUE(isSubset(mixesRun(on.fig9), mixesRun(off.fig9)));
+        EXPECT_TRUE(isSubset(stabilitiesRun(on.fig9),
+                             stabilitiesRun(off.fig9)));
+        Fig9Options same = on.fig9;
+        same.victimEntries = off.fig9.victimEntries;
+        same.mixes = off.fig9.mixes;
+        same.edgeStabilities = off.fig9.edgeStabilities;
+        EXPECT_EQ(config::dumpConfig(same),
+                  config::dumpConfig(off.fig9));
+    }
 }
 
 // ---- Parsed-vs-programmatic bit-identity ------------------------------
@@ -216,10 +333,48 @@ TEST(ScenarioValidateTest, RejectsStructuralDefects)
             "{\"name\": \"x\", \"kind\": \"qos_hetero\","
             " \"qos\": {\"cores\": 6}}")),
         ConfigError);
+    // Systems the scenario would build but System cannot: each used
+    // to pass validation and then abort the whole `pvsim run`.
+    const std::pair<const char *, const char *> unbuildable[] = {
+        {"{\"name\": \"x\", \"kind\": \"timed\", \"system\": {\"btb\":"
+         " {\"mode\": \"virtualized\", \"assoc\": 64}}}",
+         "system.btb: "},
+        {"{\"name\": \"x\", \"kind\": \"functional\", \"system\":"
+         " {\"prefetch\": \"sms_virtualized\","
+         " \"pht_geometry\": {\"num_sets\": 1024, \"assoc\": 40}}}",
+         "system.pht_geometry: "},
+        {"{\"name\": \"x\", \"kind\": \"fig9\", \"fig9\": {\"cores\": 0}}",
+         "system.num_cores: "},
+        {"{\"name\": \"x\", \"kind\": \"fig9\", \"fig9\": {\"btb_sets\": 0}}",
+         "side) system.btb: "},
+        {"{\"name\": \"x\", \"kind\": \"fig9\", \"fig9\": {\"btb_assoc\": 64}}",
+         "virtualized side) system.btb: "},
+        {"{\"name\": \"x\", \"kind\": \"qos\", \"qos\": {\"cores\": 0}}",
+         "system.num_cores: "},
+        {"{\"name\": \"x\", \"kind\": \"qos\","
+         " \"qos\": {\"pvcache_entries\": 0}}",
+         "system.pv_cache_entries: "},
+        {"{\"name\": \"x\", \"kind\": \"qos_hetero\", \"qos\": {\"cores\": 0}}",
+         "system.num_cores: "},
+    };
+    for (const auto &[doc, path] : unbuildable) {
+        SCOPED_TRACE(doc);
+        try {
+            validateScenario(parse_only(doc));
+            ADD_FAILURE() << "accepted an unbuildable system";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(path),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     // The valid spellings pass.
     validateScenario(parse_only(
         "{\"name\": \"x\", \"kind\": \"fig9\","
         " \"fig9\": {\"edge_stabilities\": [-1.0, 0.0, 1.0]}}"));
+    validateScenario(parse_only(
+        "{\"name\": \"x\", \"kind\": \"fig9\","
+        " \"fig9\": {\"btb_assoc\": 4}}"));
     validateScenario(parse_only(
         "{\"name\": \"x\", \"kind\": \"qos_hetero\","
         " \"qos\": {\"cores\": 8}}"));
@@ -313,7 +468,7 @@ TEST(ScenarioRetiredKeyTest, QosRefusesTheRetiredKeys)
 TEST(ScenarioValidateTest, JobsBookkeepingHonorsPresetDefaults)
 {
     // Empty mixes/settings mean "all presets" — the shared helpers
-    // must agree with the drivers' bookkeeping on that.
+    // must agree with the explicit preset lists on that.
     Fig9Options f;
     f.batches = 1;
     unsigned with_presets = fig9JobsEffective(f);

@@ -8,13 +8,15 @@
  *   pvsim validate scenarios              strict-parse + round-trip
  *   pvsim fingerprint scenarios --json    manifest of fingerprints
  *
- * `run` executes each scenario through the same harness paths the
- * compiled bench drivers use and emits the same JSON row schema
- * (BENCH_*.json rows); `validate` fails on any syntax error,
- * unknown key, structural violation, or canonical-form round-trip
- * instability; `fingerprint --json` prints the {file: fingerprint}
- * object committed as scenarios/MANIFEST.json, which the
- * check_bench.py gate compares against the live corpus.
+ * `run` executes each scenario through the harness entry points
+ * and emits the BENCH_*.json artifact schema: a provenance header
+ * (PVSIM_JOBS, host cores, build type) and one result object per
+ * scenario with its fingerprint and rows; `validate` fails on any
+ * syntax error, unknown key, unbuildable system, or canonical-form
+ * round-trip instability; `fingerprint --json` prints the
+ * {file: fingerprint} object committed as a corpus directory's
+ * MANIFEST.json, which the check_bench.py gate compares against the
+ * live corpus.
  *
  * Exit status: 0 all good, 1 any scenario failed, 2 bad usage.
  */
@@ -23,8 +25,10 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "config/scenario.hh"
+#include "harness/metrics.hh"
 #include "util/args.hh"
 
 using namespace pvsim;
@@ -72,8 +76,14 @@ int
 cmdRun(const std::vector<std::string> &files, uint64_t max_cores,
        const std::string &json_out)
 {
+    // Provenance: what produced the artifact, beside what it holds.
     std::ostringstream js;
-    js << "{\n  \"bench\": \"pvsim\",\n  \"scenarios\": [\n";
+    js << "{\n  \"bench\": \"pvsim\",\n"
+       << "  \"jobs_requested\": " << harnessJobs() << ",\n"
+       << "  \"host_cores\": " << std::thread::hardware_concurrency()
+       << ",\n"
+       << "  \"build_type\": " << json::quote(PVSIM_BUILD_TYPE)
+       << ",\n  \"scenarios\": [\n";
     bool first = true;
     int failures = 0;
     unsigned ran = 0, skipped = 0;

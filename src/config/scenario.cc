@@ -8,6 +8,7 @@
 #include "core/virt_engine.hh"
 #include "harness/config_presets.hh"
 #include "harness/row_json.hh"
+#include "trace/workload.hh"
 
 namespace pvsim {
 
@@ -56,6 +57,24 @@ scenarioFingerprint(const Scenario &s)
 namespace {
 
 /**
+ * Empty when `name` is a workload preset, else the error message:
+ * workloadPreset() is fatal on an unknown name, which would end a
+ * whole corpus run.
+ */
+std::string
+unknownPresetError(const std::string &name)
+{
+    const std::vector<std::string> &known = workloadPresetNames();
+    if (std::find(known.begin(), known.end(), name) != known.end())
+        return "";
+    std::string list;
+    for (const std::string &k : known)
+        list += (list.empty() ? "" : ", ") + k;
+    return "unknown workload preset \"" + name + "\" (one of: " +
+           list + ")";
+}
+
+/**
  * The structural preconditions System's constructor and the engine
  * adapters assert on, checked on a config the scenario will build;
  * `where` prefixes the error path.
@@ -69,6 +88,14 @@ validateSystem(const SystemConfig &cfg, const std::string &where)
     };
     if (cfg.numCores < 1)
         fail("num_cores", "must be >= 1");
+    std::string bad = unknownPresetError(cfg.workload);
+    if (!bad.empty())
+        fail("workload", bad);
+    for (size_t i = 0; i < cfg.workloadMix.size(); ++i) {
+        bad = unknownPresetError(cfg.workloadMix[i]);
+        if (!bad.empty())
+            fail("workload_mix[" + std::to_string(i) + "]", bad);
+    }
     if (cfg.btb.mode == BtbMode::Dedicated &&
         (cfg.btb.numSets == 0 || cfg.btb.assoc == 0))
         fail("btb", "num_sets and assoc must be >= 1");
@@ -176,6 +203,11 @@ validateScenario(const Scenario &s)
         throw ConfigError(s.name + ": qos.cores must be a multiple "
                                    "of 4 for the heterogeneous "
                                    "cluster matrix");
+    if (s.kind == "qos_hetero" && !s.qos.settings.empty())
+        throw ConfigError(s.name + ": qos.settings: the "
+                                   "heterogeneous matrix runs fixed "
+                                   "per-cluster contracts; settings "
+                                   "apply to kind \"qos\" only");
     if (s.kind == "qos" || s.kind == "qos_hetero") {
         if (s.qos.batches == 0)
             throw ConfigError(s.name + ": qos.batches must be >= 1");

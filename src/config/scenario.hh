@@ -84,10 +84,12 @@ uint64_t scenarioFingerprint(const Scenario &s);
 /**
  * Structural validation beyond field types: known kind, nonempty
  * name, nonzero budgets for the kind that runs, the qos_hetero
- * cores%4 precondition, and every SystemConfig the kind builds
+ * cores%4 precondition and its refusal of qos.settings (the matrix
+ * runs fixed contracts), and every SystemConfig the kind builds
  * (the system section, each fig9 mix and BTB side, each qos
- * setting) buildable: cores, engine sets that fit a line, PVCache
- * entries, PV space. Throws json::ConfigError naming the path.
+ * setting) buildable: known workload presets, cores, engine sets
+ * that fit a line, PVCache entries, PV space. Throws
+ * json::ConfigError naming the path.
  */
 void validateScenario(const Scenario &s);
 

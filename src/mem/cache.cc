@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "mem/packet_pool.hh"
 
@@ -81,8 +82,12 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
     blocks_.resize(size_t(numSets_) * params_.assoc);
     tags_.assign(blocks_.size(), kInvalidTag);
     lastTouch_.assign(blocks_.size(), 0);
-    repl_ = makeReplacementPolicy(params_.replPolicy);
-    lruFast_ = params_.replPolicy == "lru";
+    if (params_.directory) {
+        // One zeroed sharer word per frame until a 65th client.
+        dirWords_ = 1;
+        sharers_.assign(blocks_.size(), 0);
+        owners_.assign(blocks_.size(), -1);
+    }
     bankFreeAt_.assign(std::max(1u, params_.banks), 0);
     if (params_.dropPvWritebacks)
         pv_assert(addrMap_ != nullptr,
@@ -92,9 +97,19 @@ Cache::Cache(SimContext &ctx, const CacheParams &params,
 int
 Cache::attachClient(MemClient *client)
 {
-    pv_assert(clients_.size() < SharerSet::kSlots,
+    // Owners are stored as int16_t slots.
+    pv_assert(clients_.size() < size_t(INT16_MAX),
               "too many directory clients");
     clients_.push_back(client);
+    const unsigned words = unsigned((clients_.size() + 63) / 64);
+    if (params_.directory && words != dirWords_) {
+        // Clients attach before the first access, so the wider rows
+        // start zeroed.
+        pv_assert(numValidBlocks() == 0,
+                  "directory clients must attach before any access");
+        sharers_.assign(blocks_.size() * words, 0);
+        dirWords_ = words;
+    }
     return int(clients_.size()) - 1;
 }
 
@@ -102,39 +117,60 @@ Cache::attachClient(MemClient *client)
 // Lookup helpers
 // ---------------------------------------------------------------------
 
-CacheBlk *
-Cache::findBlock(Addr block_addr)
+size_t
+Cache::findFrame(Addr block_addr) const
 {
     Addr aligned = blockAlign(block_addr);
     const size_t base = setBase(setIndex(aligned));
     const Addr *tags = tags_.data() + base;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         if (tags[w] == aligned)
-            return &blocks_[base + w];
+            return base + w;
     }
-    return nullptr;
+    return SIZE_MAX;
+}
+
+CacheBlk *
+Cache::findBlock(Addr block_addr)
+{
+    const size_t f = findFrame(block_addr);
+    return f == SIZE_MAX ? nullptr : &blocks_[f];
 }
 
 const CacheBlk *
 Cache::peekBlock(Addr block_addr) const
 {
-    Addr aligned = blockAlign(block_addr);
-    const size_t base = setBase(setIndex(aligned));
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (tags_[base + w] == aligned)
-            return &blocks_[base + w];
-    }
-    return nullptr;
+    const size_t f = findFrame(block_addr);
+    return f == SIZE_MAX ? nullptr : &blocks_[f];
 }
 
 uint64_t
 Cache::numValidBlocks() const
 {
-    uint64_t n = 0;
-    for (const auto &blk : blocks_)
-        if (blk.valid)
-            ++n;
-    return n;
+    return uint64_t(tags_.size() -
+                    std::count(tags_.begin(), tags_.end(), kInvalidTag));
+}
+
+bool
+Cache::isSharer(Addr block_addr, int slot) const
+{
+    const size_t f = findFrame(block_addr);
+    return params_.directory && f != SIZE_MAX && slot >= 0 &&
+           size_t(slot) < clients_.size() &&
+           sharerTest(f, unsigned(slot));
+}
+
+bool
+Cache::hasSharers(Addr block_addr) const
+{
+    const size_t f = findFrame(block_addr);
+    if (!params_.directory || f == SIZE_MAX)
+        return false;
+    const uint64_t *row = sharerRow(f);
+    for (unsigned w = 0; w < dirWords_; ++w)
+        if (row[w])
+            return true;
+    return false;
 }
 
 bool
@@ -196,36 +232,41 @@ Cache::invalidateSharers(CacheBlk &blk, int keep_slot)
 {
     if (!params_.directory)
         return;
-    if (blk.ownerSlot >= 0 && blk.ownerSlot != keep_slot) {
+    const size_t f = frameOf(blk);
+    if (owners_[f] >= 0 && owners_[f] != keep_slot) {
         // The owner may hold newer data; treat it as merged here.
         blk.dirty = true;
-        blk.ownerSlot = -1;
+        owners_[f] = -1;
     }
+    const Addr block_addr = tags_[f];
     for (size_t slot = 0; slot < clients_.size(); ++slot) {
         if (int(slot) == keep_slot)
             continue;
-        if (blk.sharers.test(unsigned(slot))) {
-            clients_[slot]->recvInvalidate(blk.blockAddr);
+        if (sharerTest(f, unsigned(slot))) {
+            clients_[slot]->recvInvalidate(block_addr);
             ++invalidationsSent;
         }
     }
     bool keep_held =
-        keep_slot >= 0 && blk.sharers.test(unsigned(keep_slot));
-    blk.sharers.reset();
+        keep_slot >= 0 && sharerTest(f, unsigned(keep_slot));
+    clearSharers_(f);
     if (keep_held)
-        blk.sharers.set(unsigned(keep_slot));
+        sharerSet(f, unsigned(keep_slot));
     if (keep_slot < 0)
-        blk.ownerSlot = -1;
+        owners_[f] = -1;
 }
 
 void
 Cache::recallIfDirtyAbove(CacheBlk &blk)
 {
-    if (!params_.directory || blk.ownerSlot < 0)
+    if (!params_.directory)
         return;
-    clients_[blk.ownerSlot]->recvDowngrade(blk.blockAddr);
+    const size_t f = frameOf(blk);
+    if (owners_[f] < 0)
+        return;
+    clients_[size_t(owners_[f])]->recvDowngrade(tags_[f]);
     blk.dirty = true; // merged modified data
-    blk.ownerSlot = -1;
+    owners_[f] = -1;
     ++recalls;
 }
 
@@ -243,21 +284,17 @@ Cache::serveHit(Packet &pkt, CacheBlk &blk)
 void
 Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
 {
-    if (lruFast_) {
-        blk.lastTouch = ++accessCounter_;
-        lastTouch_[size_t(&blk - blocks_.data())] = blk.lastTouch;
-    } else {
-        repl_->touch(blk, ++accessCounter_);
-    }
+    const size_t f = frameOf(blk);
+    lastTouch_[f] = ++accessCounter_;
 
     switch (pkt.cmd) {
       case MemCmd::ReadReq:
       case MemCmd::PrefetchReq:
         if (params_.directory) {
-            if (blk.ownerSlot >= 0 && blk.ownerSlot != pkt.srcSlot)
+            if (owners_[f] >= 0 && owners_[f] != pkt.srcSlot)
                 recallIfDirtyAbove(blk);
             if (pkt.coherent && pkt.srcSlot >= 0)
-                blk.sharers.set(unsigned(pkt.srcSlot));
+                sharerSet(f, unsigned(pkt.srcSlot));
         }
         if (!pkt.isPrefetch && blk.wasPrefetched) {
             ++coveredMisses;
@@ -273,8 +310,8 @@ Cache::completeAccess_(Packet &pkt, CacheBlk &blk)
         if (params_.directory) {
             invalidateSharers(blk, pkt.srcSlot);
             if (pkt.coherent && pkt.srcSlot >= 0) {
-                blk.sharers.set(unsigned(pkt.srcSlot));
-                blk.ownerSlot = int16_t(pkt.srcSlot);
+                sharerSet(f, unsigned(pkt.srcSlot));
+                owners_[f] = int16_t(pkt.srcSlot);
             }
         } else {
             // L1 store: the caller guarantees write permission.
@@ -310,40 +347,27 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
         }
     }
     if (!frame) {
-        if (lruFast_) {
-            // Inline LRU: min lastTouch, ties to the lowest way —
-            // exactly LruPolicy::victim over the set in way order.
-            const uint64_t *touch = lastTouch_.data() + base;
-            unsigned best = 0;
-            for (unsigned w = 1; w < assoc; ++w) {
-                if (touch[w] < touch[best])
-                    best = w;
-            }
-            frame = &blocks_[base + best];
-        } else {
-            victimScratch_.clear();
-            for (unsigned w = 0; w < assoc; ++w)
-                victimScratch_.push_back(&blocks_[base + w]);
-            frame = victimScratch_[repl_->victim(victimScratch_)];
+        // LRU: min lastTouch, ties to the lowest way.
+        const uint64_t *touch = lastTouch_.data() + base;
+        unsigned best = 0;
+        for (unsigned w = 1; w < assoc; ++w) {
+            if (touch[w] < touch[best])
+                best = w;
         }
+        frame = &blocks_[base + best];
         evictBlock(*frame);
     }
 
-    frame->blockAddr = aligned;
-    frame->valid = true;
-    tags_[size_t(frame - blocks_.data())] = aligned;
+    // An invalid frame's directory row is already clear
+    // (invalidateBlock_), so only the line state is written here.
+    const size_t f = frameOf(*frame);
+    tags_[f] = aligned;
     frame->dirty = false;
     frame->writable = writable;
     frame->wasPrefetched = was_prefetch;
     frame->isInst = is_inst;
     frame->isPv = is_pv;
-    frame->sharers.reset();
-    frame->ownerSlot = -1;
-    ++accessCounter_;
-    frame->lastTouch = accessCounter_;
-    frame->insertedAt = accessCounter_;
-    if (lruFast_)
-        lastTouch_[size_t(frame - blocks_.data())] = accessCounter_;
+    lastTouch_[f] = ++accessCounter_;
     if (data)
         frame->ensureData() = *data;
     else
@@ -356,7 +380,8 @@ Cache::installBlock(Addr block_addr, bool writable, bool is_pv,
 void
 Cache::evictBlock(CacheBlk &blk)
 {
-    pv_assert(blk.valid, "evicting an invalid block");
+    const Addr block_addr = tags_[frameOf(blk)];
+    pv_assert(block_addr != kInvalidTag, "evicting an invalid block");
     ++evictions;
 
     // Inclusive directory: remove all upstream copies first.
@@ -366,7 +391,7 @@ Cache::evictBlock(CacheBlk &blk)
         ++overpredictions;
 
     const bool is_pv =
-        addrMap_ ? addrMap_->classify(blk.blockAddr) == AddrClass::Pv
+        addrMap_ ? addrMap_->classify(block_addr) == AddrClass::Pv
                  : blk.isPv;
 
     if (blk.dirty) {
@@ -376,7 +401,7 @@ Cache::evictBlock(CacheBlk &blk)
             // data is advisory so only effectiveness is affected.
             ++pvWritebacksDropped;
         } else {
-            auto *wb = allocPacket(MemCmd::Writeback, blk.blockAddr,
+            auto *wb = allocPacket(MemCmd::Writeback, block_addr,
                                    kInvalidCore);
             wb->coherent = !params_.directory;
             wb->srcSlot = slotAtLower_;
@@ -393,7 +418,7 @@ Cache::evictBlock(CacheBlk &blk)
         }
     } else if (!params_.directory && memSide_) {
         // Clean-eviction notice keeps the L2 directory exact.
-        auto *ce = allocPacket(MemCmd::CleanEvict, blk.blockAddr,
+        auto *ce = allocPacket(MemCmd::CleanEvict, block_addr,
                                kInvalidCore);
         ce->srcSlot = slotAtLower_;
         ce->isPv = blk.isPv;
@@ -402,7 +427,7 @@ Cache::evictBlock(CacheBlk &blk)
     }
 
     if (listener_)
-        listener_->onEvict(blk.blockAddr);
+        listener_->onEvict(block_addr);
 
     invalidateBlock_(blk);
 }
@@ -419,12 +444,16 @@ Cache::handleWriteback(Packet &pkt)
     else
         ++requestsApp;
 
+    auto drop_sharer = [&] {
+        const size_t f = frameOf(*blk);
+        sharerClear(f, unsigned(pkt.srcSlot));
+        if (owners_[f] == pkt.srcSlot)
+            owners_[f] = -1;
+    };
+
     if (pkt.isCleanEvict()) {
-        if (blk && params_.directory && pkt.srcSlot >= 0) {
-            blk->sharers.clear(unsigned(pkt.srcSlot));
-            if (blk->ownerSlot == pkt.srcSlot)
-                blk->ownerSlot = -1;
-        }
+        if (blk && params_.directory && pkt.srcSlot >= 0)
+            drop_sharer();
         return;
     }
 
@@ -433,11 +462,8 @@ Cache::handleWriteback(Packet &pkt)
         blk->dirty = true;
         if (pkt.hasData())
             blk->ensureData() = *pkt.data;
-        if (params_.directory && pkt.srcSlot >= 0) {
-            blk->sharers.clear(unsigned(pkt.srcSlot));
-            if (blk->ownerSlot == pkt.srcSlot)
-                blk->ownerSlot = -1;
-        }
+        if (params_.directory && pkt.srcSlot >= 0)
+            drop_sharer();
     } else {
         // Allocate-on-writeback (e.g. a PVProxy line after the L2
         // copy was evicted, or a race with this level's eviction).
@@ -794,7 +820,7 @@ Cache::recvInvalidate(Addr block_addr)
     if (blk->wasPrefetched)
         ++overpredictions;
     if (listener_)
-        listener_->onInvalidate(blk->blockAddr);
+        listener_->onInvalidate(blockAlign(block_addr));
     invalidateBlock_(*blk);
 }
 

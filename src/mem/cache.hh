@@ -26,7 +26,6 @@
 #include "mem/mshr.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
-#include "mem/replacement.hh"
 #include "sim/sim_object.hh"
 #include "stats/stat.hh"
 
@@ -51,7 +50,6 @@ struct CacheParams {
      * by the shared L2.
      */
     bool directory = false;
-    std::string replPolicy = "lru";
     /**
      * Paper Section 2.2 design option: drop dirty PV-range victim
      * blocks instead of writing them off-chip ("the caches become
@@ -101,7 +99,8 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /**
      * Register an upstream coherent client (an L1 registering with
      * the L2). The returned slot must be stamped into srcSlot of
-     * every coherent request the client sends here.
+     * every coherent request the client sends here. A directory
+     * cache widens its rows to ceil(clients / 64) sharer words.
      */
     int attachClient(MemClient *client);
 
@@ -163,14 +162,29 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Count of valid blocks (tests). */
     uint64_t numValidBlocks() const;
 
-    /** Visit every valid block (tests / invariant checks). */
+    /** Visit every valid block as fn(block_addr, blk) (tests /
+     *  invariant checks). */
     template <typename Fn>
     void
     forEachValidBlock(Fn &&fn) const
     {
-        for (const auto &blk : blocks_)
-            if (blk.valid)
-                fn(blk);
+        for (size_t f = 0; f < tags_.size(); ++f)
+            if (tags_[f] != kInvalidTag)
+                fn(tags_[f], blocks_[f]);
+    }
+
+    /** Directory: the valid block is held by client `slot`. */
+    bool isSharer(Addr block_addr, int slot) const;
+
+    /** Directory: some client holds the valid block. */
+    bool hasSharers(Addr block_addr) const;
+
+    /** Bytes of directory state (0 without params.directory). */
+    size_t
+    directoryBytes() const
+    {
+        return sharers_.size() * sizeof(uint64_t) +
+               owners_.size() * sizeof(int16_t);
     }
 
     /** Outstanding misses (tests / draining). */
@@ -251,6 +265,16 @@ class Cache final : public SimObject, public MemDevice, public MemClient
 
     CacheBlk *findBlock(Addr block_addr);
 
+    /** Frame index of a block in the flat arrays. */
+    size_t
+    frameOf(const CacheBlk &blk) const
+    {
+        return size_t(&blk - blocks_.data());
+    }
+
+    /** Frame index holding block_addr, or SIZE_MAX if absent. */
+    size_t findFrame(Addr block_addr) const;
+
     /** First block index of a set in the flat arrays. */
     size_t
     setBase(unsigned set) const
@@ -259,15 +283,55 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     }
 
     /**
-     * Invalidate blk and clear its mirrored tag. All validity
+     * Invalidate blk: clear its tag and directory row. All validity
      * transitions must go through here or installBlock so tags_
      * stays exact.
      */
     void
     invalidateBlock_(CacheBlk &blk)
     {
-        tags_[size_t(&blk - blocks_.data())] = kInvalidTag;
+        const size_t f = frameOf(blk);
+        tags_[f] = kInvalidTag;
+        if (params_.directory)
+            clearDirectory_(f);
         blk.invalidate();
+    }
+
+    // -- Directory rows (params_.directory only) ------------------------
+
+    uint64_t *sharerRow(size_t f) { return &sharers_[f * dirWords_]; }
+    const uint64_t *
+    sharerRow(size_t f) const
+    {
+        return &sharers_[f * dirWords_];
+    }
+    bool
+    sharerTest(size_t f, unsigned slot) const
+    {
+        return (sharerRow(f)[slot / 64] >> (slot % 64)) & 1u;
+    }
+    void
+    sharerSet(size_t f, unsigned slot)
+    {
+        sharerRow(f)[slot / 64] |= 1ull << (slot % 64);
+    }
+    void
+    sharerClear(size_t f, unsigned slot)
+    {
+        sharerRow(f)[slot / 64] &= ~(1ull << (slot % 64));
+    }
+    void
+    clearSharers_(size_t f)
+    {
+        uint64_t *row = sharerRow(f);
+        for (unsigned w = 0; w < dirWords_; ++w)
+            row[w] = 0;
+    }
+    void
+    clearDirectory_(size_t f)
+    {
+        clearSharers_(f);
+        owners_[f] = -1;
     }
 
     // -- Core state machine (shared functional/timing) ----------------
@@ -336,28 +400,32 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     unsigned numSets_;
     /** numSets_ - 1 when numSets_ is a power of two, else 0. */
     uint64_t setMask_ = 0;
-    /** All block frames, flat: way w of set s at [s * assoc + w]. */
+    /** All block frames, flat: way w of set s at [s * assoc + w].
+     *  The arrays below are indexed the same way. */
     std::vector<CacheBlk> blocks_;
     /**
-     * Mirror of each frame's (valid, blockAddr) packed into one
-     * word: the tag when valid, kInvalidTag otherwise. Lookups scan
-     * 8 bytes per way instead of pulling whole CacheBlk frames
-     * through the host caches — the single hottest loop in
-     * functional simulation.
+     * Each frame's address and validity in one word: the block
+     * address when valid, kInvalidTag otherwise. Lookups scan 8
+     * bytes per way — the single hottest loop in functional
+     * simulation.
      */
     std::vector<Addr> tags_;
-    /**
-     * Mirror of each frame's lastTouch, maintained only on the
-     * lruFast_ path (its only reader): keeps the victim scan on a
-     * compact array instead of striding through CacheBlk frames.
-     */
+    /** Each frame's LRU timestamp (accessCounter_ at its last
+     *  touch); the victim is the set's minimum, lowest way on
+     *  ties. */
     std::vector<uint64_t> lastTouch_;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    /** True for the (default) LRU policy: victim selection and
-     *  touch run inline instead of through the policy virtuals —
-     *  identical choices, no candidate-vector rebuild per miss. */
-    bool lruFast_ = false;
     uint64_t accessCounter_ = 0;
+
+    /**
+     * Directory of an inclusive cache: dirWords_ sharer words per
+     * frame (bit s of frame f's row = client s holds the block),
+     * and the slot that may hold a dirty copy (-1 = none). Empty
+     * unless params_.directory; rows are one word until attachClient
+     * widens them.
+     */
+    std::vector<uint64_t> sharers_;
+    std::vector<int16_t> owners_;
+    unsigned dirWords_ = 0;
 
     MemDevice *memSide_ = nullptr;
     std::vector<MemClient *> clients_;
@@ -368,8 +436,6 @@ class Cache final : public SimObject, public MemDevice, public MemClient
     /** Accepted requests whose tag lookup has not resolved yet;
      *  counted against the MSHR budget so acceptance is honest. */
     unsigned pendingLookups_ = 0;
-    /** Reused victim-candidate buffer (avoids per-miss allocation). */
-    std::vector<CacheBlk *> victimScratch_;
     /** Downstream packets awaiting acceptance (misses, writebacks). */
     std::deque<PacketPtr> sendQueue_;
     bool drainScheduled_ = false;

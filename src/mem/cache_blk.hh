@@ -3,6 +3,12 @@
  * Cache block (line) state. One CacheBlk per way per set; payload
  * storage is lazily allocated because only PV data carries real
  * bytes through the hierarchy.
+ *
+ * A frame holds only the line state. Its address and validity live
+ * in the cache's tag array, its recency in the LRU array, and an
+ * inclusive L2's directory entry in directory rows the cache sizes
+ * to its attached clients — so the frames of an 8 MB L2 stay small
+ * enough to build and tear down cheaply.
  */
 
 #ifndef PVSIM_MEM_CACHE_BLK_HH
@@ -16,51 +22,11 @@
 
 namespace pvsim {
 
-/**
- * Fixed-size set of upstream directory slots. A plain uint32_t mask
- * capped the L2 at 32 coherent clients — a 64-core system has 128
- * L1s — so the directory tracks sharers in a small array of words
- * instead.
- */
-struct SharerSet {
-    static constexpr unsigned kSlots = 256;
-    static constexpr unsigned kWords = kSlots / 64;
-
-    uint64_t words[kWords] = {};
-
-    void set(unsigned slot) { words[slot / 64] |= 1ull << (slot % 64); }
-    void clear(unsigned slot)
-    {
-        words[slot / 64] &= ~(1ull << (slot % 64));
-    }
-    bool
-    test(unsigned slot) const
-    {
-        return (words[slot / 64] >> (slot % 64)) & 1u;
-    }
-    void
-    reset()
-    {
-        for (auto &w : words)
-            w = 0;
-    }
-    bool
-    any() const
-    {
-        for (auto w : words)
-            if (w)
-                return true;
-        return false;
-    }
-    bool none() const { return !any(); }
-};
-
-/** State of one cache line, including directory info when in an L2. */
+/** State of one cache line. */
 struct CacheBlk {
-    /** Tag (the full block address, for simplicity and debugging). */
-    Addr blockAddr = 0;
+    /** Optional payload (PV blocks only in practice). */
+    std::unique_ptr<std::array<uint8_t, kBlockBytes>> data;
 
-    bool valid = false;
     /** Locally modified relative to the level below. */
     bool dirty = false;
     /** Held in M/E: stores may hit without an upgrade. */
@@ -72,22 +38,6 @@ struct CacheBlk {
     bool isInst = false;
     /** PV-range block (stats classification only). */
     bool isPv = false;
-
-    /** LRU timestamp (monotonic access counter of the cache). */
-    uint64_t lastTouch = 0;
-    /** Insertion timestamp. */
-    uint64_t insertedAt = 0;
-
-    /**
-     * Directory state (used only by an inclusive L2): the set of
-     * upstream coherent clients holding this block, and which (if
-     * any) may have a dirty copy.
-     */
-    SharerSet sharers;
-    int16_t ownerSlot = -1;
-
-    /** Optional payload (PV blocks only in practice). */
-    std::unique_ptr<std::array<uint8_t, kBlockBytes>> data;
 
     bool hasData() const { return data != nullptr; }
 
@@ -105,17 +55,17 @@ struct CacheBlk {
     void
     invalidate()
     {
-        valid = false;
         dirty = false;
         writable = false;
         wasPrefetched = false;
         isInst = false;
         isPv = false;
-        sharers.reset();
-        ownerSlot = -1;
         data.reset();
     }
 };
+
+static_assert(sizeof(CacheBlk) <= 16,
+              "a cache frame must stay within 16 bytes");
 
 } // namespace pvsim
 

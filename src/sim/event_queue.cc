@@ -35,7 +35,7 @@ EventQueue::acquire(Tick when, int priority)
     --freeCount_;
     e->when = when;
     e->priority = priority;
-    e->id = nextId_++;
+    e->seq = nextSeq_++;
     return e;
 }
 
@@ -44,7 +44,6 @@ EventQueue::commit(Event *e)
 {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    pending_.insert(e->id);
 }
 
 void
@@ -64,35 +63,6 @@ EventQueue::discard(Event *e)
 }
 
 void
-EventQueue::cancel(EventId id)
-{
-    if (pending_.erase(id) == 0)
-        return; // already ran (or already cancelled)
-    maybeCompact();
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Every heap entry's id was added to pending_ at schedule() and
-    // leaves both structures together (popNext, stale-top discard),
-    // except on cancel — so the dead-entry count is exactly the
-    // size difference.
-    size_t dead = heap_.size() - pending_.size();
-    if (heap_.size() < kCompactMinHeap || dead * 2 <= heap_.size())
-        return;
-    auto live_end =
-        std::partition(heap_.begin(), heap_.end(),
-                       [this](const Event *e) {
-                           return pending_.count(e->id) != 0;
-                       });
-    for (auto it = live_end; it != heap_.end(); ++it)
-        discard(*it);
-    heap_.erase(live_end, heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-void
 EventQueue::setCurTick(Tick to)
 {
     pv_assert(to >= curTick_, "cannot rewind time");
@@ -105,62 +75,31 @@ Tick
 EventQueue::nextTick() const
 {
     pv_assert(!heap_.empty(), "nextTick on an empty queue");
-    // The heap may have stale (cancelled) entries at the top; they
-    // can only be earlier than the earliest live event, so scanning
-    // is needed for exactness. The common case has no stale top.
-    if (pending_.count(heap_.front()->id))
-        return heap_.front()->when;
-    Tick best = kMaxTick;
-    for (const Event *e : heap_) {
-        if (e->when < best && pending_.count(e->id))
-            best = e->when;
-    }
-    return best;
+    return heap_.front()->when;
 }
 
 EventQueue::Event *
 EventQueue::popNext()
 {
-    while (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        Event *e = heap_.back();
-        heap_.pop_back();
-        auto it = pending_.find(e->id);
-        if (it == pending_.end()) {
-            discard(e); // cancelled; reclaim silently
-            continue;
-        }
-        pending_.erase(it);
-        return e;
-    }
-    return nullptr;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event *e = heap_.back();
+    heap_.pop_back();
+    return e;
 }
 
 uint64_t
 EventQueue::runUntil(Tick limit)
 {
     uint64_t executed = 0;
-    while (!heap_.empty()) {
-        // Peek: stop without popping if the earliest live event is
-        // beyond the limit.
-        Event *top = heap_.front();
-        if (!pending_.count(top->id)) {
-            // Stale top; pop and reclaim.
-            std::pop_heap(heap_.begin(), heap_.end(), Later{});
-            heap_.pop_back();
-            discard(top);
-            continue;
-        }
-        if (top->when > limit)
-            break;
+    // Peek: stop without popping once the earliest event is beyond
+    // the limit.
+    while (!heap_.empty() && heap_.front()->when <= limit) {
         Event *e = popNext();
-        if (!e)
-            break;
         pv_assert(e->when >= curTick_, "event queue went backwards");
         curTick_ = e->when;
-        // The callable may schedule (allocating nodes) or cancel
-        // (compacting the heap); this node is in neither structure
-        // any more, so its storage stays valid until released below.
+        // The callable may schedule (allocating nodes); this node is
+        // off the heap, so its storage stays valid until released
+        // below.
         e->invoke(e->storage);
         if (e->destroy)
             e->destroy(e->storage);
@@ -185,7 +124,6 @@ EventQueue::reset()
     for (Event *e : heap_)
         discard(e);
     heap_.clear();
-    pending_.clear();
     curTick_ = 0;
 }
 

@@ -5,8 +5,8 @@
  * are ordered by priority (lower first), then by scheduling order.
  *
  * Event nodes are pooled: each node carries inline storage for the
- * scheduled callable, and executed/cancelled nodes return to an
- * intrusive freelist instead of the heap — doing for events what
+ * scheduled callable, and executed nodes return to an intrusive
+ * freelist instead of the heap — doing for events what
  * PacketPool did for packets. Timing mode used to pay one heap node
  * plus a std::function allocation per event; steady-state scheduling
  * now allocates nothing (asserted in tests). Callables larger than
@@ -21,7 +21,6 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,8 +32,6 @@ namespace pvsim {
 class EventQueue
 {
   public:
-    using EventId = uint64_t;
-
     /** Standard event priorities (lower executes first). */
     enum Priority {
         kPrioResponse = -10, ///< deliver responses before new requests
@@ -49,36 +46,25 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule fn to run at absolute tick when.
+     * Schedule fn to run at absolute tick when. Events run once
+     * each and cannot be withdrawn.
      * @pre when >= curTick().
-     * @return Handle usable with cancel().
      */
     template <typename F>
-    EventId
+    void
     schedule(Tick when, int priority, F &&fn)
     {
         Event *e = acquire(when, priority);
         emplaceCallable(*e, std::forward<F>(fn));
         commit(e);
-        return e->id;
     }
 
     template <typename F>
-    EventId
+    void
     schedule(Tick when, F &&fn)
     {
-        return schedule(when, kPrioDefault, std::forward<F>(fn));
+        schedule(when, kPrioDefault, std::forward<F>(fn));
     }
-
-    /**
-     * Cancel a pending event; no-op if it already ran. Cancellation
-     * is lazy — the heap entry (and its closure) stays until popped
-     * — but the heap is compacted whenever dead entries outnumber
-     * live ones, so cancel-heavy callers cannot grow it without
-     * bound. (No current model cancels events; the bound is for
-     * what speculative timing models will need.)
-     */
-    void cancel(EventId id);
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
@@ -89,15 +75,11 @@ class EventQueue
      */
     void setCurTick(Tick to);
 
-    /** True if no pending (non-cancelled) events remain. */
-    bool empty() const { return pending_.empty(); }
+    /** True if no pending events remain. */
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    size_t numPending() const { return pending_.size(); }
-
-    /** Heap entries, live plus not-yet-reclaimed cancelled ones
-     *  (observability for the compaction tests). */
-    size_t heapSize() const { return heap_.size(); }
+    size_t numPending() const { return heap_.size(); }
 
     /** Tick of the earliest pending event. @pre !empty(). */
     Tick nextTick() const;
@@ -137,7 +119,8 @@ class EventQueue
     struct Event {
         Tick when;
         int priority;
-        EventId id;
+        /** Scheduling order: the same-tick, same-priority tie-break. */
+        uint64_t seq;
         /** Run the stored callable. */
         void (*invoke)(void *storage);
         /** Destroy it without running (nullptr when trivial). */
@@ -196,11 +179,11 @@ class EventQueue
         }
     }
 
-    /** Take a node from the pool, stamped with (when, priority, id).
-     *  Asserts when >= curTick(). */
+    /** Take a node from the pool, stamped with (when, priority,
+     *  seq). Asserts when >= curTick(). */
     Event *acquire(Tick when, int priority);
 
-    /** Insert an initialized node into the heap and pending set. */
+    /** Insert an initialized node into the heap. */
     void commit(Event *e);
 
     /** Destroy an unexecuted node's callable and recycle the node. */
@@ -219,27 +202,19 @@ class EventQueue
                 return a->when > b->when;
             if (a->priority != b->priority)
                 return a->priority > b->priority;
-            return a->id > b->id;
+            return a->seq > b->seq;
         }
     };
 
-    /** Pop the earliest live entry; nullptr if none. Discards and
-     *  recycles stale (cancelled) entries along the way. */
+    /** Pop the earliest entry. @pre !heap_.empty(). */
     Event *popNext();
 
-    /** Drop cancelled entries when they exceed half the heap. */
-    void maybeCompact();
-
-    /** Below this size compaction is not worth the re-heapify. */
-    static constexpr size_t kCompactMinHeap = 64;
-
     std::vector<Event *> heap_;
-    std::unordered_set<EventId> pending_;
     std::vector<std::unique_ptr<Event[]>> chunks_;
     Event *freeHead_ = nullptr;
     size_t freeCount_ = 0;
     Tick curTick_ = 0;
-    EventId nextId_ = 0;
+    uint64_t nextSeq_ = 0;
     uint64_t numExecuted_ = 0;
 };
 

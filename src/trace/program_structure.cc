@@ -61,30 +61,35 @@ ProgramStructureModel::ProgramStructureModel(
     // identical across reset() and across warmup/measure phases.
     const uint64_t gseed = mix(params.seed, 0x9A0C0DE);
 
-    routines_.resize(R);
+    blocksPerRoutine_ = B;
+    blocks_.resize(size_t(R) * B);
+    // Blocks hold mean_recs records on average (1 to
+    // 2 * mean_recs - 1), so this reserve is close to the total.
+    gaps_.reserve(size_t(R) * B * mean_recs);
+    nextRoutine_.resize(R);
     loopRemaining_.assign(size_t(R) * B, 0);
     Addr pc = code_base;
     for (unsigned r = 0; r < R; ++r) {
-        Routine &rt = routines_[r];
-        rt.blocks.resize(B);
         // Canonical dispatcher chain: never self, spread over all
         // routines so an idle stack still walks the whole CFG.
-        rt.nextRoutine =
+        nextRoutine_[r] =
             (r + 1 + unsigned(mix(gseed, r * 31 + 7) % (R - 1))) % R;
         for (unsigned b = 0; b < B; ++b) {
-            Block &blk = rt.blocks[b];
+            Block &blk = blocks_[blockIndex(r, b)];
             const uint64_t bs = mix(gseed, uint64_t(r) * B + b);
             blk.start = pc;
             unsigned nrecs =
                 1 + unsigned(bs % (2 * mean_recs - 1));
-            blk.gaps.resize(nrecs);
+            blk.gapBegin = uint32_t(gaps_.size());
+            blk.numGaps = nrecs;
             Addr bytes = 0;
             for (unsigned i = 0; i < nrecs; ++i) {
                 // Gaps 1..8, fixed per (routine, block, record):
                 // intra-block fall-throughs hold across visits.
-                blk.gaps[i] =
+                const uint8_t gap =
                     uint8_t(1 + (mix(bs, i + 1) & 0x7));
-                bytes += (Addr(blk.gaps[i]) + 1) * kInstBytes;
+                gaps_.push_back(gap);
+                bytes += (Addr(gap) + 1) * kInstBytes;
             }
             blk.bytes = bytes;
             pc += bytes;
@@ -131,54 +136,51 @@ ProgramStructureModel::ProgramStructureModel(
     reset();
 }
 
-unsigned
-ProgramStructureModel::blocksPerRoutine() const
+const ProgramStructureModel::Block &
+ProgramStructureModel::blockAt(unsigned r, unsigned b) const
 {
-    return unsigned(routines_.front().blocks.size());
+    pv_assert(r < numRoutines() && b < blocksPerRoutine_,
+              "CFG block (%u, %u) out of range", r, b);
+    return blocks_[blockIndex(r, b)];
 }
 
 ProgramStructureModel::Term
 ProgramStructureModel::termOf(unsigned r, unsigned b) const
 {
-    return routines_.at(r).blocks.at(b).term;
+    return blockAt(r, b).term;
 }
 
 unsigned
 ProgramStructureModel::loopTripsOf(unsigned r, unsigned b) const
 {
-    return routines_.at(r).blocks.at(b).trips;
+    return blockAt(r, b).trips;
 }
 
 Addr
 ProgramStructureModel::routineEntry(unsigned r) const
 {
-    return routines_.at(r).blocks.front().start;
+    return blockAt(r, 0).start;
 }
 
 Addr
 ProgramStructureModel::branchPcOf(unsigned r, unsigned b) const
 {
-    const Block &blk = routines_.at(r).blocks.at(b);
-    return blk.start + blk.bytes -
-           (Addr(blk.gaps.back()) + 1) * kInstBytes;
+    const Block &blk = blockAt(r, b);
+    const uint8_t last_gap = gaps_[blk.gapBegin + blk.numGaps - 1];
+    return blk.start + blk.bytes - (Addr(last_gap) + 1) * kInstBytes;
 }
 
 void
 ProgramStructureModel::reset()
 {
     rng_.reseed(walkSeed_);
-    const unsigned B = blocksPerRoutine();
-    for (unsigned r = 0; r < routines_.size(); ++r) {
-        for (unsigned b = 0; b < B; ++b) {
-            loopRemaining_[size_t(r) * B + b] =
-                routines_[r].blocks[b].trips;
-        }
-    }
+    for (size_t i = 0; i < blocks_.size(); ++i)
+        loopRemaining_[i] = blocks_[i].trips;
     stack_.clear();
     routine_ = 0;
     block_ = 0;
     idx_ = 0;
-    nextPc_ = routines_[0].blocks[0].start;
+    nextPc_ = blocks_[0].start;
     pendingEdge_ = BranchEdge::Seq;
 }
 
@@ -186,7 +188,6 @@ void
 ProgramStructureModel::takeTerminator()
 {
     const Block &blk = curBlock();
-    const unsigned B = unsigned(routines_[routine_].blocks.size());
     switch (blk.term) {
       case Term::Seq:
         block_ += 1;
@@ -199,8 +200,7 @@ ProgramStructureModel::takeTerminator()
         break;
       }
       case Term::Loop: {
-        unsigned &left =
-            loopRemaining_[size_t(routine_) * B + block_];
+        unsigned &left = loopRemaining_[blockIndex(routine_, block_)];
         if (left > 0) {
             --left;
             block_ = blk.target;
@@ -230,7 +230,7 @@ ProgramStructureModel::takeTerminator()
         if (stack_.empty()) {
             // Dispatcher: tail-jump to the canonical successor
             // routine (a stable, learnable edge — not a return).
-            routine_ = routines_[routine_].nextRoutine;
+            routine_ = nextRoutine_[routine_];
             block_ = 0;
             pendingEdge_ = BranchEdge::Cond;
         } else {
@@ -251,12 +251,12 @@ ProgramStructureModel::annotate(TraceRecord &rec)
 {
     const Block &blk = curBlock();
     rec.pc = nextPc_;
-    rec.gap = blk.gaps[idx_];
+    rec.gap = gaps_[blk.gapBegin + idx_];
     rec.edge = pendingEdge_;
     pendingEdge_ = BranchEdge::Seq;
     nextPc_ += (Addr(rec.gap) + 1) * kInstBytes;
     ++idx_;
-    if (idx_ >= blk.gaps.size())
+    if (idx_ >= blk.numGaps)
         takeTerminator();
 }
 

@@ -78,8 +78,11 @@ class ProgramStructureModel
     /** Block terminator kinds (mirrors the file header). */
     enum class Term : uint8_t { Seq, Cond, Loop, Call, Ret };
 
-    unsigned numRoutines() const { return unsigned(routines_.size()); }
-    unsigned blocksPerRoutine() const;
+    unsigned numRoutines() const
+    {
+        return unsigned(nextRoutine_.size());
+    }
+    unsigned blocksPerRoutine() const { return blocksPerRoutine_; }
 
     /** Terminator kind of block b of routine r. */
     Term termOf(unsigned r, unsigned b) const;
@@ -101,12 +104,17 @@ class ProgramStructureModel
     uint64_t codeBytes() const { return codeBytes_; }
 
   private:
+    /**
+     * One basic block. Its per-record gaps live in the model's one
+     * contiguous gaps_ array at [gapBegin, gapBegin + numGaps):
+     * record i sits at start + sum_{j<i} (gap[j]+1)*kInstBytes.
+     */
     struct Block {
         Addr start = 0;
-        /** Per-record gaps; record i sits at
-         *  start + sum_{j<i} (gaps[j]+1)*kInstBytes. */
-        std::vector<uint8_t> gaps;
-        Term term = Term::Seq;
+        /** Byte length (fall-through lands at start + bytes). */
+        Addr bytes = 0;
+        uint32_t gapBegin = 0;
+        uint32_t numGaps = 0;
         /** Cond/Loop: target block in this routine; Call: callee
          *  routine. */
         unsigned target = 0;
@@ -114,14 +122,7 @@ class ProgramStructureModel
         unsigned altTarget = 0;
         /** Loop: back-edges taken per activation. */
         unsigned trips = 0;
-        /** Byte length (fall-through lands at start + bytes). */
-        Addr bytes = 0;
-    };
-
-    struct Routine {
-        std::vector<Block> blocks;
-        /** Dispatcher successor when returning on an empty stack. */
-        unsigned nextRoutine = 0;
+        Term term = Term::Seq;
     };
 
     /** A callsite's continuation: return into (routine, block). */
@@ -130,9 +131,19 @@ class ProgramStructureModel
         unsigned block;
     };
 
+    /** Block b of routine r in the flat blocks_ array. */
+    size_t
+    blockIndex(unsigned r, unsigned b) const
+    {
+        return size_t(r) * blocksPerRoutine_ + b;
+    }
+
+    /** Bounds-checked (r, b) lookup for the introspection calls. */
+    const Block &blockAt(unsigned r, unsigned b) const;
+
     const Block &curBlock() const
     {
-        return routines_[routine_].blocks[block_];
+        return blocks_[blockIndex(routine_, block_)];
     }
 
     /** Consume the current block's terminator: pick the successor
@@ -141,7 +152,15 @@ class ProgramStructureModel
 
     uint64_t walkSeed_ = 0;
     Rng rng_;
-    std::vector<Routine> routines_;
+    unsigned blocksPerRoutine_ = 0;
+    /** Every routine's blocks, flat: block b of routine r at
+     *  blockIndex(r, b). */
+    std::vector<Block> blocks_;
+    /** Every block's per-record gaps, back to back. */
+    std::vector<uint8_t> gaps_;
+    /** Per routine: dispatcher successor when returning on an empty
+     *  stack. */
+    std::vector<unsigned> nextRoutine_;
     /** Per-(routine, block) remaining back-edges this activation. */
     std::vector<unsigned> loopRemaining_;
     std::vector<Frame> stack_;

@@ -129,6 +129,10 @@ WorkloadParams workloadPreset(const std::string &name);
 /** The eight paper workloads, in the paper's presentation order. */
 std::vector<std::string> paperWorkloads();
 
+/** Every name workloadPreset() accepts: the paper workloads, then
+ *  "uniform". */
+const std::vector<std::string> &workloadPresetNames();
+
 /**
  * Mix-level control-flow profile: the branch-structure knobs a
  * multi-programmed mix applies to every member workload. Presets

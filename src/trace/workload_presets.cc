@@ -170,6 +170,17 @@ paperWorkloads()
             "qry1",   "qry2", "qry16", "qry17"};
 }
 
+const std::vector<std::string> &
+workloadPresetNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> n = paperWorkloads();
+        n.push_back("uniform");
+        return n;
+    }();
+    return names;
+}
+
 void
 BranchProfile::applyTo(WorkloadParams &p) const
 {

@@ -10,7 +10,9 @@
 #define PVSIM_UTIL_RANDOM_HH
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pvsim {
@@ -111,6 +113,16 @@ class Rng
 };
 
 /**
+ * The normalized Zipf CDF over {0, ..., n-1} with exponent alpha.
+ * Tables are memoized process-wide by (n, alpha) behind a mutex, so
+ * every sampler of one workload shape shares a single immutable
+ * table and only the first System of a process pays the pow() loop.
+ * The memo holds one table per distinct shape ever requested.
+ */
+std::shared_ptr<const std::vector<double>> zipfCdf(size_t n,
+                                                   double alpha);
+
+/**
  * Zipf-distributed sampler over {0, ..., n-1} with exponent alpha.
  * Uses a precomputed inverse CDF (O(log n) per sample), accurate and
  * fast for the table sizes used by the workload generators.
@@ -122,27 +134,20 @@ class ZipfSampler
      * @param n     Number of distinct items.
      * @param alpha Skew; 0 degenerates to uniform.
      */
-    ZipfSampler(size_t n, double alpha) : cdf_(n)
-    {
-        assert(n > 0);
-        double sum = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-            sum += 1.0 / power(double(i + 1), alpha);
-            cdf_[i] = sum;
-        }
-        for (auto &c : cdf_)
-            c /= sum;
-    }
+    ZipfSampler(size_t n, double alpha)
+        : table_(zipfCdf(n, alpha))
+    {}
 
     /** Draw one sample; item 0 is the most popular. */
     size_t
     sample(Rng &rng) const
     {
+        const double *cdf = table_->data();
         double u = rng.uniform();
-        size_t lo = 0, hi = cdf_.size() - 1;
+        size_t lo = 0, hi = table_->size() - 1;
         while (lo < hi) {
             size_t mid = (lo + hi) / 2;
-            if (cdf_[mid] < u)
+            if (cdf[mid] < u)
                 lo = mid + 1;
             else
                 hi = mid;
@@ -150,20 +155,17 @@ class ZipfSampler
         return lo;
     }
 
-    size_t size() const { return cdf_.size(); }
+    size_t size() const { return table_->size(); }
 
-  private:
-    // std::pow is not constexpr-friendly everywhere; a simple
-    // exp/log form keeps this header light.
-    static double
-    power(double base, double exp)
+    /** The shared CDF table (tests: identity and contents). */
+    const std::shared_ptr<const std::vector<double>> &
+    table() const
     {
-        if (exp == 0.0)
-            return 1.0;
-        return __builtin_pow(base, exp);
+        return table_;
     }
 
-    std::vector<double> cdf_;
+  private:
+    std::shared_ptr<const std::vector<double>> table_;
 };
 
 } // namespace pvsim

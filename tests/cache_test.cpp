@@ -268,10 +268,9 @@ TEST_F(CoherenceTest, ReadSharingLeavesBothCopies)
     access(*l1b, 0x8000, false, 1);
     EXPECT_TRUE(l1a->contains(0x8000));
     EXPECT_TRUE(l1b->contains(0x8000));
-    const CacheBlk *blk = l2->peekBlock(0x8000);
-    ASSERT_NE(blk, nullptr);
-    EXPECT_TRUE(blk->sharers.test(0));
-    EXPECT_TRUE(blk->sharers.test(1));
+    ASSERT_TRUE(l2->contains(0x8000));
+    EXPECT_TRUE(l2->isSharer(0x8000, 0));
+    EXPECT_TRUE(l2->isSharer(0x8000, 1));
 }
 
 TEST_F(CoherenceTest, StoreMissInvalidatesOtherSharer)
@@ -332,14 +331,142 @@ TEST_F(CoherenceTest, CleanEvictKeepsDirectoryExact)
     access(*l1a, 0x10000, false, 0);
     access(*l1a, 0x10000 + 16 * 1024, false, 0);
     access(*l1a, 0x10000 + 32 * 1024, false, 0);
-    const CacheBlk *blk = l2->peekBlock(0x10000);
-    ASSERT_NE(blk, nullptr);
-    EXPECT_TRUE(blk->sharers.none())
+    ASSERT_TRUE(l2->contains(0x10000));
+    EXPECT_FALSE(l2->hasSharers(0x10000))
         << "clean eviction must clear the sharer bit";
     // Now a store by B must not send a useless invalidation to A.
     uint64_t inv_before = l2->invalidationsSent.value();
     access(*l1b, 0x10000, true, 1);
     EXPECT_EQ(l2->invalidationsSent.value(), inv_before);
+}
+
+TEST_F(CoherenceTest, OnlyTheDirectoryCacheHoldsDirectoryRows)
+{
+    // 16 KB / 64 B = 256 frames; two clients fit one sharer word,
+    // plus a 2-byte owner slot per frame.
+    EXPECT_EQ(l2->directoryBytes(), 256u * (8 + 2));
+    EXPECT_EQ(l1a->directoryBytes(), 0u);
+    EXPECT_EQ(l1b->directoryBytes(), 0u);
+    access(*l1a, 0x8000, true, 0);
+    EXPECT_EQ(l1a->directoryBytes(), 0u);
+}
+
+TEST(DirectoryRowsTest, DirectoryWithoutClientsEvicts)
+{
+    // A directory cache no client has attached to still has one
+    // sharer word per frame, so its evictions clear real rows.
+    SimContext ctx{SimMode::Functional};
+    AddrMap amap{1ull << 30, 2, 64 * 1024};
+    Dram dram{ctx, DramParams{"dram", 400, 0}, &amap};
+    CacheParams l2p;
+    l2p.name = "l2";
+    l2p.sizeBytes = 16 * 1024;
+    l2p.assoc = 4;
+    l2p.directory = true;
+    Cache l2(ctx, l2p, &amap);
+    l2.setMemSide(&dram);
+    EXPECT_EQ(l2.directoryBytes(), 256u * (8 + 2));
+
+    // Five blocks of one set in a 4-way cache: the first is evicted.
+    for (Addr i = 0; i < 5; ++i) {
+        Packet pkt(MemCmd::WriteReq, 0x8000 + i * 4 * 1024, 0);
+        l2.functionalAccess(pkt);
+    }
+    EXPECT_FALSE(l2.contains(0x8000));
+    EXPECT_TRUE(l2.contains(0x8000 + 4 * 4 * 1024));
+    EXPECT_FALSE(l2.hasSharers(0x8000 + 4 * 4 * 1024));
+}
+
+TEST(DirectoryRowsTest, ClientsAttachBeforeAnyAccess)
+{
+    SimContext ctx{SimMode::Functional};
+    AddrMap amap{1ull << 30, 2, 64 * 1024};
+    Dram dram{ctx, DramParams{"dram", 400, 0}, &amap};
+    CacheParams l2p;
+    l2p.name = "l2";
+    l2p.sizeBytes = 16 * 1024;
+    l2p.assoc = 4;
+    l2p.directory = true;
+    Cache l2(ctx, l2p, &amap);
+    l2.setMemSide(&dram);
+    std::vector<TestClient> clients(65);
+    for (size_t i = 0; i < 64; ++i)
+        l2.attachClient(&clients[i]);
+    Packet pkt(MemCmd::ReadReq, 0x8000, 0);
+    pkt.srcSlot = 0;
+    l2.functionalAccess(pkt);
+    // The 65th client would widen rows that already hold sharers.
+    EXPECT_DEATH(l2.attachClient(&clients[64]), "before any access");
+}
+
+TEST(DirectoryRowsTest, SlotsPastTheFirstWordAreTracked)
+{
+    // 70 clients: slots 64..69 live in the second word of each
+    // directory row.
+    SimContext ctx{SimMode::Functional};
+    AddrMap amap{1ull << 30, 2, 64 * 1024};
+    Dram dram{ctx, DramParams{"dram", 400, 0}, &amap};
+    CacheParams l2p;
+    l2p.name = "l2";
+    l2p.sizeBytes = 16 * 1024;
+    l2p.assoc = 4;
+    l2p.directory = true;
+    Cache l2(ctx, l2p, &amap);
+    l2.setMemSide(&dram);
+
+    constexpr int kClients = 70;
+    std::vector<TestClient> clients(kClients);
+    for (int i = 0; i < kClients; ++i)
+        ASSERT_EQ(l2.attachClient(&clients[size_t(i)]), i);
+    EXPECT_EQ(l2.directoryBytes(), 256u * (2 * 8 + 2));
+
+    auto request = [&](MemCmd cmd, Addr addr, int slot) {
+        Packet pkt(cmd, addr, 0);
+        pkt.srcSlot = slot;
+        l2.functionalAccess(pkt);
+    };
+
+    // Every client reads X; slot 0's store must invalidate the
+    // other 69, the second word's slots included.
+    const Addr x = 0x8000;
+    for (int i = 0; i < kClients; ++i)
+        request(MemCmd::ReadReq, x, i);
+    EXPECT_TRUE(l2.isSharer(x, 63));
+    EXPECT_TRUE(l2.isSharer(x, 64));
+    EXPECT_TRUE(l2.isSharer(x, 69));
+    request(MemCmd::WriteReq, x, 0);
+    EXPECT_EQ(l2.invalidationsSent.value(), uint64_t(kClients - 1));
+    EXPECT_TRUE(clients[0].invalidated.empty());
+    for (int i = 1; i < kClients; ++i) {
+        EXPECT_EQ(clients[size_t(i)].invalidated,
+                  std::vector<Addr>{x})
+            << "slot " << i;
+    }
+    EXPECT_TRUE(l2.isSharer(x, 0));
+    EXPECT_FALSE(l2.isSharer(x, 65));
+
+    // Slot 66 takes Y writable; a read by slot 1 recalls (downgrades)
+    // slot 66's dirty copy.
+    const Addr y = 0x9000;
+    request(MemCmd::WriteReq, y, 66);
+    request(MemCmd::ReadReq, y, 1);
+    EXPECT_EQ(clients[66].downgraded, std::vector<Addr>{y});
+    EXPECT_EQ(l2.recalls.value(), 1u);
+    EXPECT_TRUE(l2.isSharer(y, 66));
+    EXPECT_TRUE(l2.isSharer(y, 1));
+    EXPECT_TRUE(l2.peekBlock(y)->dirty);
+
+    // Slot 64 is its own bit, not an alias of slot 0: a store by
+    // slot 1 to a block only slot 64 reads invalidates slot 64
+    // alone.
+    const Addr z = 0xa000;
+    request(MemCmd::ReadReq, z, 64);
+    EXPECT_TRUE(l2.isSharer(z, 64));
+    EXPECT_FALSE(l2.isSharer(z, 0));
+    const size_t inv_0 = clients[0].invalidated.size();
+    request(MemCmd::WriteReq, z, 1);
+    EXPECT_EQ(clients[0].invalidated.size(), inv_0);
+    EXPECT_EQ(clients[64].invalidated, (std::vector<Addr>{x, z}));
 }
 
 // ---------------------------------------------------------------------
@@ -667,10 +794,9 @@ TEST(BankedCoherenceTest, DirectoryTracksSharersAcrossBanks)
         ASSERT_EQ(blockNumber(x) % l2p.banks, b);
         access(l1a, x, false, 0);
         access(l1b, x, false, 1);
-        const CacheBlk *blk = l2.peekBlock(x);
-        ASSERT_NE(blk, nullptr);
-        EXPECT_TRUE(blk->sharers.test(0));
-        EXPECT_TRUE(blk->sharers.test(1));
+        ASSERT_TRUE(l2.contains(x));
+        EXPECT_TRUE(l2.isSharer(x, 0));
+        EXPECT_TRUE(l2.isSharer(x, 1));
     }
     // GetX in every bank invalidates the other sharer exactly once.
     uint64_t invs = l2.invalidationsSent.value();

@@ -5,6 +5,8 @@
  *  - CacheGeometryProperty: the cache's hit/miss behaviour matches
  *    an independent reference LRU model exactly, across geometries
  *    (including non-power-of-two set counts).
+ *  - CacheLruProperty: every miss fills an empty frame or evicts a
+ *    valid block.
  *  - CodecGeometryProperty: pack/unpack round-trips across packing
  *    geometries.
  *  - PhtGeometryProperty: dedicated PHT retains everything while
@@ -281,19 +283,10 @@ INSTANTIATE_TEST_SUITE_P(Presets, WorkloadProperty,
                                            "qry16", "qry17"));
 
 // ---------------------------------------------------------------------
-// Replacement policies inside a live cache
+// LRU replacement inside a live cache
 // ---------------------------------------------------------------------
 
-namespace {
-
-struct ReplPolicyProperty
-    : public ::testing::TestWithParam<std::string>
-{
-};
-
-} // namespace
-
-TEST_P(ReplPolicyProperty, CacheOperatesUnderEveryPolicy)
+TEST(CacheLruProperty, EveryMissFillsOrEvicts)
 {
     SimContext ctx(SimMode::Functional);
     AddrMap amap(1ull << 30, 1, 64 * 1024);
@@ -302,7 +295,6 @@ TEST_P(ReplPolicyProperty, CacheOperatesUnderEveryPolicy)
     cp.name = "c";
     cp.sizeBytes = 4096;
     cp.assoc = 4;
-    cp.replPolicy = GetParam();
     Cache cache(ctx, cp, &amap);
     cache.setMemSide(&dram);
 
@@ -322,6 +314,3 @@ TEST_P(ReplPolicyProperty, CacheOperatesUnderEveryPolicy)
     EXPECT_EQ(cache.demandMisses.value(),
               cache.evictions.value() + cache.numValidBlocks());
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, ReplPolicyProperty,
-                         ::testing::Values("lru", "random", "fifo"));

@@ -17,6 +17,7 @@
 
 #include "config/scenario.hh"
 #include "harness/config_presets.hh"
+#include "trace/workload.hh"
 
 using namespace pvsim;
 using json::ConfigError;
@@ -399,6 +400,61 @@ TEST(ScenarioValidateTest, RejectsAVirtEngineSetWiderThanALine)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(ScenarioValidateTest, RejectsUnknownWorkloadPresets)
+{
+    // Each used to pass validation and then end the whole `pvsim
+    // run` in workloadPreset()'s fatal error.
+    const std::pair<const char *, const char *> unknown[] = {
+        {"{\"name\": \"x\", \"kind\": \"timed\","
+         " \"system\": {\"workload\": \"nope\"}}",
+         "x: system.workload: unknown workload preset \"nope\""},
+        {"{\"name\": \"x\", \"kind\": \"functional\","
+         " \"system\": {\"workload_mix\": [\"apache\", \"nope\"]}}",
+         "x: system.workload_mix[1]: unknown workload preset"},
+        {"{\"name\": \"x\", \"kind\": \"fig9\", \"fig9\": {\"mixes\":"
+         " [\"web\", {\"name\": \"m\", \"workloads\": [\"db2\", \"nope\"]}]}}",
+         "x: fig9 (mix \"m\", dedicated side) system.workload_mix[1]: "
+         "unknown workload preset"},
+    };
+    for (const auto &[doc, path] : unknown) {
+        SCOPED_TRACE(doc);
+        try {
+            validateScenario(parseScenario(doc));
+            ADD_FAILURE() << "accepted an unknown workload preset";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(path),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Every exported name is one workloadPreset() builds.
+    for (const std::string &name : workloadPresetNames())
+        EXPECT_EQ(workloadPreset(name).name, name);
+    validateScenario(parseScenario(
+        "{\"name\": \"x\", \"kind\": \"timed\","
+        " \"system\": {\"workload_mix\": [\"uniform\", \"qry17\"]}}"));
+}
+
+TEST(ScenarioValidateTest, QosHeteroRefusesSettings)
+{
+    // The heterogeneous matrix runs fixed per-cluster contracts, so
+    // a settings list there would be silently ignored.
+    try {
+        validateScenario(parseScenario(
+            "{\"name\": \"x\", \"kind\": \"qos_hetero\","
+            " \"qos\": {\"cores\": 8, \"settings\": [\"2:1\"]}}"));
+        FAIL() << "qos_hetero accepted qos.settings";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("x: qos.settings: "),
+                  std::string::npos)
+            << e.what();
+    }
+    // The same list on kind "qos" is the sweep's input.
+    validateScenario(parseScenario(
+        "{\"name\": \"x\", \"kind\": \"qos\","
+        " \"qos\": {\"cores\": 8, \"settings\": [\"2:1\"]}}"));
 }
 
 TEST(ScenarioValidateTest, ScenarioCoresTracksTheRunningSection)

@@ -70,8 +70,9 @@ TEST(SystemFunctional, InclusionHoldsBetweenL1AndL2)
     // none anyway).
     for (int c = 0; c < sys.numCores(); ++c) {
         uint64_t violations = 0;
-        sys.l1d(c).forEachValidBlock([&](const CacheBlk &blk) {
-            if (!sys.l2().contains(blk.blockAddr))
+        sys.l1d(c).forEachValidBlock([&](Addr block_addr,
+                                         const CacheBlk &) {
+            if (!sys.l2().contains(block_addr))
                 ++violations;
         });
         EXPECT_EQ(violations, 0u)
@@ -189,7 +190,8 @@ TEST(SystemTiming, VirtualizedRunsAndDrains)
 TEST(SystemTiming, ManyCoreRunCompletes)
 {
     // 40 cores attach 80 L1s to the L2 directory: past the old
-    // 32-slot sharer mask and past one 64-bit word of SharerSet.
+    // 32-slot sharer mask and past one 64-bit word per directory
+    // row.
     SystemConfig cfg;
     cfg.mode = SimMode::Timing;
     cfg.numCores = 40;

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
 #include <map>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/args.hh"
 #include "util/bitfield.hh"
@@ -222,6 +227,80 @@ TEST(Zipf, SamplesCoverTheRange)
         counts[s]++;
     }
     EXPECT_EQ(counts.size(), 4u);
+}
+
+namespace {
+
+/** The CDF as ZipfSampler computed it before tables were shared. */
+std::vector<double>
+referenceZipfCdf(size_t n, double alpha)
+{
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        sum += 1.0 / (alpha == 0.0 ? 1.0
+                                   : __builtin_pow(double(i + 1),
+                                                   alpha));
+        cdf[i] = sum;
+    }
+    for (auto &c : cdf)
+        c /= sum;
+    return cdf;
+}
+
+} // namespace
+
+TEST(Zipf, SamplersOfOneShapeShareABitIdenticalTable)
+{
+    // A preset's key-table shape (640 PCs x 4 offsets, alpha 0.45).
+    ZipfSampler a(2560, 0.45);
+    ZipfSampler b(2560, 0.45);
+    EXPECT_EQ(a.table().get(), b.table().get());
+    EXPECT_NE(ZipfSampler(2560, 0.5).table().get(), a.table().get());
+    EXPECT_NE(ZipfSampler(2561, 0.45).table().get(), a.table().get());
+
+    const std::vector<double> ref = referenceZipfCdf(2560, 0.45);
+    ASSERT_EQ(a.table()->size(), ref.size());
+    EXPECT_EQ(std::memcmp(a.table()->data(), ref.data(),
+                          ref.size() * sizeof(double)),
+              0)
+        << "shared table must equal the per-sampler loop bit for bit";
+
+    const std::vector<double> uniform = referenceZipfCdf(10, 0.0);
+    EXPECT_EQ(*ZipfSampler(10, 0.0).table(), uniform);
+}
+
+TEST(ZipfConcurrency, FourThreadsBuildTheSameSamplers)
+{
+    // Shapes no other test asks for, so the threads race on the
+    // first build of each table.
+    const std::pair<size_t, double> shapes[] = {
+        {3001, 0.31}, {4001, 0.62}, {5001, 0.93}};
+    constexpr int kThreads = 4;
+    std::vector<std::vector<const std::vector<double> *>> seen(
+        kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng{uint64_t(t)};
+            for (int rep = 0; rep < 20; ++rep) {
+                for (const auto &[n, alpha] : shapes) {
+                    ZipfSampler z(n, alpha);
+                    ASSERT_LT(z.sample(rng), n);
+                    if (rep == 0)
+                        seen[size_t(t)].push_back(z.table().get());
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(seen[size_t(t)], seen[0]) << "thread " << t;
+    for (size_t i = 0; i < std::size(shapes); ++i) {
+        const auto &[n, alpha] = shapes[i];
+        EXPECT_EQ(*seen[0][i], referenceZipfCdf(n, alpha));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -177,7 +177,7 @@ unsigned harnessJobs();
  * beyond physical cores only add contention — an oversubscribed
  * pool measured 0.77x of serial) and to the batch count (idle
  * workers are pure overhead). When this is 1, the drivers take the
- * serial path outright — no pool, no atomics.
+ * serial path outright, with no worker threads.
  */
 unsigned effectiveHarnessJobs(unsigned batches);
 

@@ -4,9 +4,6 @@
 
 namespace pvsim {
 
-std::atomic<uint64_t> Packet::nextId_{0};
-std::atomic<int64_t> Packet::liveCount_{0};
-
 void
 Packet::DataDeleter::operator()(Data *d) const
 {

@@ -6,15 +6,20 @@
  * (makeResponse()) before travelling back up.
  *
  * Ownership follows gem5 convention: raw pointers, and the component
- * that completes a packet deletes it. Static live-count bookkeeping
- * lets tests assert leak-freedom.
+ * that completes a packet deletes it. A per-thread live count lets
+ * tests assert leak-freedom.
+ *
+ * Threading rule: a packet is allocated and freed on one thread (the
+ * thread running its System; PacketPool relies on the same rule).
+ * That is what makes the per-thread count exact, and it keeps packet
+ * construction free of process-global state, so Systems on separate
+ * harness workers share no cache line through their packets.
  */
 
 #ifndef PVSIM_MEM_PACKET_HH
 #define PVSIM_MEM_PACKET_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -71,7 +76,7 @@ class Packet
     using DataPtr = std::unique_ptr<Data, DataDeleter>;
 
     Packet(MemCmd cmd, Addr addr, int core_id)
-        : cmd(cmd), addr(addr), coreId(core_id), id(nextId_++)
+        : cmd(cmd), addr(addr), coreId(core_id)
     {
         ++liveCount_;
     }
@@ -116,9 +121,6 @@ class Packet
 
     /** Tick at which the request was first issued (latency stats). */
     Tick issueTick = 0;
-
-    /** Unique id, for debugging and deterministic tie-breaks. */
-    const uint64_t id;
 
     /** Optional 64-byte payload (allocated only for data-carrying
      *  transactions, i.e. PV reads/writebacks); pooled storage. */
@@ -184,12 +186,12 @@ class Packet
         }
     }
 
-    /** Live packet count, for leak assertions in tests. */
-    static int64_t liveCount() { return liveCount_.load(); }
+    /** The calling thread's live packet count, for leak assertions
+     *  in tests (exact under the one-thread rule above). */
+    static int64_t liveCount() { return liveCount_; }
 
   private:
-    static std::atomic<uint64_t> nextId_;
-    static std::atomic<int64_t> liveCount_;
+    inline static thread_local int64_t liveCount_ = 0;
 };
 
 using PacketPtr = Packet *;

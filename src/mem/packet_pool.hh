@@ -4,12 +4,15 @@
  * functional eviction path) used to churn the global heap with one
  * new/delete pair per miss, writeback and clean-evict; the pool
  * recycles fixed-size Packet storage instead, constructing each
- * packet in place so id uniqueness and live-count bookkeeping behave
- * exactly as with plain new.
+ * packet in place so live-count bookkeeping behaves exactly as with
+ * plain new.
  *
  * The pool is thread-local: every System runs single-threaded, and
  * the threaded batch harness confines each System to one worker, so
  * alloc/release pairs never cross threads and no locking is needed.
+ * This is the same one-thread rule that keeps Packet::liveCount()
+ * exact per thread: a packet allocated on one thread must be
+ * released (or deleted) on that thread.
  * Storage comes from (and returns to) the global operator new, which
  * keeps pooled packets interchangeable with plain `new Packet` /
  * `delete pkt` at every boundary — external clients (tests, user
